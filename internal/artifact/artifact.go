@@ -235,6 +235,7 @@ func Replay(b *Bundle, opts ReplayOptions) (*Report, error) {
 	rep := &Report{}
 	rep.Err = protectedReplay(func() error {
 		sys, verify := build(b.Meta, ch, obs)
+		defer sys.Close()
 		rep.RunErr = sys.Run()
 		rep.Steps = sys.Steps()
 		rep.Crashed = sys.CrashedCount()

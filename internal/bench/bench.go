@@ -99,6 +99,7 @@ func quantumHolds(cfg multicons.Config, q, seeds, parallelism int, red check.Red
 				return
 			}
 			sys, verify := build(adv)
+			defer sys.Close()
 			if verify(sys.Run()) != nil {
 				failed.Store(true)
 			}
@@ -227,7 +228,9 @@ func ProbeQuantum(p, k, m, v, q, seeds int) error {
 	cfg := multicons.Config{Name: "probe", P: p, K: k, M: m, V: v}
 	build := fig7Builder(cfg, q)
 	sys, verify := build(sched.NewRotate())
-	if err := verify(sys.Run()); err != nil {
+	err := verify(sys.Run())
+	sys.Close()
+	if err != nil {
 		return err
 	}
 	res := check.Fuzz(build, seeds, check.Options{StopAtFirst: true})

@@ -27,6 +27,7 @@ func Fig3Scaling(ns []int, seed int64) []ScalingPoint {
 			panic(fmt.Sprintf("bench: Fig3Scaling n=%d: %v", n, err))
 		}
 		pts = append(pts, ScalingPoint{X: n, Stmts: worstInv(sys)})
+		sys.Close()
 	}
 	return pts
 }
@@ -56,6 +57,7 @@ func Fig5Scaling(vs []int, n, opsPer int, seed int64) []ScalingPoint {
 			panic(fmt.Sprintf("bench: Fig5Scaling v=%d: %v", v, err))
 		}
 		pts = append(pts, ScalingPoint{X: v, Stmts: worstInv(sys)})
+		sys.Close()
 	}
 	return pts
 }
@@ -85,6 +87,7 @@ func Fig5ScalingN(ns []int, v, opsPer int, seed int64) []ScalingPoint {
 			panic(fmt.Sprintf("bench: Fig5ScalingN n=%d: %v", n, err))
 		}
 		pts = append(pts, ScalingPoint{X: n, Stmts: worstInv(sys)})
+		sys.Close()
 	}
 	return pts
 }
@@ -110,6 +113,7 @@ func Fig7Scaling(ms []int, p, k, v, quantum int, seed int64) []ScalingPoint {
 			panic(fmt.Sprintf("bench: Fig7Scaling m=%d: %v", m, err))
 		}
 		pts = append(pts, ScalingPoint{X: m, Stmts: worstInv(sys)})
+		sys.Close()
 	}
 	return pts
 }

@@ -205,8 +205,10 @@ func (e *wsEngine[T]) steal(w int) *T {
 // state (system runner, choosers, scratch buffers); process must push
 // an item's children before returning. export, if non-nil, receives
 // every item left unprocessed when the exploration stops early (the
-// frontier-checkpoint hook).
+// frontier-checkpoint hook). Once every worker has returned, explore
+// closes the systems their runners built.
 func explore[T any](c *collector, roots []*T, parallelism int, export func(*T), newWorker func() func(item *T, push func(*T))) {
+	defer c.closeRunners()
 	if parallelism <= 1 {
 		process := newWorker()
 		// Reversed so the first root is popped (and explored) first,

@@ -77,6 +77,7 @@ type collector struct {
 	viols   []keyedViolation // sorted by key, capped at maxViol
 	fronts  []keyedFrontier  // exported frontier items (ExportFrontier)
 	measure *measureAcc      // merged measurement histogram (Options.Measure)
+	runners []*runner        // every worker's runner (addRunner)
 
 	start     time.Time
 	progEvery int64
@@ -352,6 +353,10 @@ func (s *chooserSlot) CrashesArmed() bool {
 // stacks). Builders that register no reset hooks keep the historical
 // build-per-run behaviour — and its build-count semantics, on which
 // alias detection for non-reentrant builders relies.
+//
+// sys is the last system built: the pooled one, or the latest
+// build-per-run one, which the runner closes when it builds the next
+// (its caller has judged it by then) or in close.
 type runner struct {
 	build  Builder
 	slot   chooserSlot
@@ -370,26 +375,50 @@ func (r *runner) run(ch sim.Chooser) (*sim.System, Verify, error) {
 		r.sys.Reset()
 		return r.sys, r.verify, r.sys.Run()
 	}
+	r.close()
 	if !r.probed {
 		r.probed = true
 		r.slot.set(ch)
-		sys, verify := r.build(&r.slot)
-		if sys.Reusable() {
-			r.pooled, r.sys, r.verify = true, sys, verify
-		}
-		return sys, verify, sys.Run()
+		r.sys, r.verify = r.build(&r.slot)
+		r.pooled = r.sys.Reusable()
+	} else {
+		r.sys, r.verify = r.build(ch)
 	}
-	sys, verify := r.build(ch)
-	return sys, verify, sys.Run()
+	return r.sys, r.verify, r.sys.Run()
+}
+
+// close tears down the runner's last system, if any.
+func (r *runner) close() {
+	if r.sys != nil {
+		r.sys.Close()
+		r.sys = nil
+	}
 }
 
 // invalidate discards the pooled system after a panic left it in an
 // unknown state; the next run re-probes from a fresh build.
 func (r *runner) invalidate() {
-	if r.sys != nil {
-		r.sys.Close()
+	r.close()
+	r.probed, r.pooled, r.verify = false, false, nil
+}
+
+// addRunner returns a worker's runner and registers it with the
+// collector, so the explorer closes every system its workers built once
+// they have all returned (closeRunners).
+func (c *collector) addRunner(build Builder) *runner {
+	r := newRunner(build)
+	c.mu.Lock()
+	c.runners = append(c.runners, r)
+	c.mu.Unlock()
+	return r
+}
+
+// closeRunners closes the systems of every registered runner. It runs
+// after the workers have returned, so nothing else touches them.
+func (c *collector) closeRunners() {
+	for _, r := range c.runners {
+		r.close()
 	}
-	r.probed, r.pooled, r.sys, r.verify = false, false, nil, nil
 }
 
 // prefixItem identifies one plain-ExploreAll subtree: the schedule at
@@ -414,7 +443,7 @@ func ExploreAll(build Builder, opts Options) *Result {
 	}
 	explore(c, seedItemsAll(opts.SeedFrontier), opts.parallelism(), export,
 		func() func(*prefixItem, func(*prefixItem)) {
-			w := &allWorker{c: c, r: newRunner(build), script: &sched.Script{},
+			w := &allWorker{c: c, r: c.addRunner(build), script: &sched.Script{},
 				dog: newWatchdog(opts), export: export}
 			return w.process
 		})
@@ -590,7 +619,7 @@ func ExploreBudget(build Builder, budget int, opts Options) *Result {
 	}
 	explore(c, seedItemsBudget(opts.SeedFrontier, budget), opts.parallelism(), export,
 		func() func(*budgetItem, func(*budgetItem)) {
-			w := &budgetWorker{c: c, r: newRunner(build), ch: &sched.BudgetedSwitch{},
+			w := &budgetWorker{c: c, r: c.addRunner(build), ch: &sched.BudgetedSwitch{},
 				dog: newWatchdog(opts), export: export}
 			if cache != nil {
 				// The chooser consults the cache only past the last directed
@@ -747,7 +776,7 @@ func Fuzz(build Builder, nSeeds int, opts Options) *Result {
 		//repro:allow goroutine sanctioned fuzz worker pool; seeds partition by atomic counter and results merge in canonical seed order
 		go func() {
 			defer wg.Done()
-			r := newRunner(build)
+			r := c.addRunner(build)
 			dog := newWatchdog(opts)
 			var rec *sched.Record
 			if c.opts.needDecisions() {
@@ -842,6 +871,7 @@ func Fuzz(build Builder, nSeeds int, opts Options) *Result {
 		}()
 	}
 	wg.Wait()
+	c.closeRunners()
 	// The seed range was cut by MaxSchedules; as in the tree explorers,
 	// a StopAtFirst hit reports the violation rather than truncation.
 	if int64(nSeeds) > c.maxSched && !(opts.StopAtFirst && c.violTotal.Load() > 0) {

@@ -379,7 +379,7 @@ func exploreAllReduced(build Builder, opts Options) *Result {
 	explore(c, []*redItem{{}}, opts.parallelism(), nil, func() func(*redItem, func(*redItem)) {
 		w := &redWorker{
 			c:    c,
-			r:    newRunner(build),
+			r:    c.addRunner(build),
 			ch:   &sched.Reduced{SleepSets: opts.Reduction.sleepSets(), Budget: unboundedBudget},
 			mode: opts.Reduction,
 			dog:  newWatchdog(opts),

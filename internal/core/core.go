@@ -124,6 +124,7 @@ func RunUniConsensus(opts UniConsensusOpts) (*ConsensusResult, error) {
 		cfg.Observer = rec
 	}
 	sys := sim.New(cfg)
+	defer sys.Close()
 	obj := unicons.New("cons")
 	outs := make([]mem.Word, opts.N)
 	for i := 0; i < opts.N; i++ {
@@ -167,6 +168,7 @@ func RunMultiConsensus(opts MultiConsensusOpts) (*ConsensusResult, error) {
 		cfg.Observer = rec
 	}
 	sys := sim.New(cfg)
+	defer sys.Close()
 	var decide func(c *sim.Ctx, val mem.Word) mem.Word
 	if opts.Fair {
 		decide = multicons.NewFair("mc", opts.P, opts.V, opts.K).Decide
@@ -222,6 +224,7 @@ func RunCASWorkload(opts CASWorkloadOpts) (*CASWorkloadResult, error) {
 		return nil, err
 	}
 	sys := sim.New(sim.Config{Processors: 1, Quantum: opts.Quantum, Chooser: ch, MaxSteps: 1 << 22})
+	defer sys.Close()
 	obj := hybridcas.New("cas", opts.V, 0)
 	for i := 0; i < opts.N; i++ {
 		p := sys.AddProcess(sim.ProcSpec{Processor: 0, Priority: 1 + i%opts.V})

@@ -247,12 +247,12 @@ func TestWithRunSeed(t *testing.T) {
 // TestSpecValidation pins the registry's rejection surface.
 func TestSpecValidation(t *testing.T) {
 	bad := []string{
-		"",                      // empty
-		"nosuchmodel",           // unknown name
-		"markov:warp=2",         // unknown parameter
-		"markov:stay",           // malformed key=value
-		"markov:stay=fast",      // non-numeric value
-		`{"name":"watchdog"}`,   // wrapper without inner
+		"",                    // empty
+		"nosuchmodel",         // unknown name
+		"markov:warp=2",       // unknown parameter
+		"markov:stay",         // malformed key=value
+		"markov:stay=fast",    // non-numeric value
+		`{"name":"watchdog"}`, // wrapper without inner
 		`{"name":"rtc","inner":{"name":"rotate"}}`, // inner on a non-wrapper
 		`{"name":"budgeted","decisions":[1,2,3]}`,  // odd switch-word length (caught at build)
 	}

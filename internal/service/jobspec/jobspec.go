@@ -382,7 +382,7 @@ func (s *Soak) Config() campaign.Config {
 		model, _ = sched.ParseModelSpec(s.Model) // validated by Validate
 	}
 	return campaign.Config{
-		SchedModel: model,
+		SchedModel:      model,
 		Runs:            s.Runs,
 		BaseSeed:        s.Seed,
 		CrashSeed:       s.ResolvedCrashSeed(),

@@ -110,8 +110,9 @@ type SchedEvent struct {
 }
 
 // Observer receives simulation events. Implementations must not touch
-// shared memory or the system; they are called synchronously from the
-// kernel loop.
+// shared memory or the system; they are called synchronously by the
+// kernel during Run, often on the coroutine of the process that just
+// executed a statement, and a panic escapes Run with its value.
 type Observer interface {
 	// OnStatement is called after each executed statement.
 	OnStatement(ev StmtEvent)

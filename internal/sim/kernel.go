@@ -31,44 +31,28 @@ func (s *System) Run() error {
 		s.consume(p, k, fp)
 	}
 
-	crasher, _ := s.cfg.Chooser.(Crasher)
+	s.crasher, _ = s.cfg.Chooser.(Crasher)
 	if armed, ok := s.cfg.Chooser.(crashArmed); ok && !armed.CrashesArmed() {
-		crasher = nil
+		s.crasher = nil
 	}
-	for {
-		cands := s.candidates()
-		if crasher != nil && !s.allDone() {
-			if victims := crasher.Crashes(Decision{Candidates: cands, Procs: s.procs, Step: s.steps, Sys: s, Since: s.since}); len(victims) > 0 {
-				for _, v := range victims {
-					s.crash(v)
-				}
-				cands = s.candidates()
-			}
+	next, err := s.decide()
+	for next != nil {
+		s.begin(next)
+		next.resume(grantRun)
+		// The process runs granted statements until a decision it makes
+		// itself (settle) hands the processor on or ends the run, or
+		// until it parks undecided: at program end, or while crashes are
+		// armed.
+		if s.decided {
+			next, err = s.next, s.nextErr
+			s.next, s.decided = nil, false
+		} else {
+			next, err = s.decide()
 		}
-		if len(cands) == 0 {
-			if s.allDone() {
-				break
-			}
-			return errors.New("sim: no schedulable process (internal invariant violated)")
-		}
-		if s.steps >= s.cfg.MaxSteps {
-			s.abortAll()
-			return fmt.Errorf("%w (limit %d)", ErrStepLimit, s.cfg.MaxSteps)
-		}
-		idx := 0
-		if len(cands) > 1 {
-			idx = s.cfg.Chooser.Pick(Decision{Candidates: cands, Procs: s.procs, Step: s.steps, Sys: s, Since: s.since})
-			s.since = s.since[:0]
-			if idx == PickAbort {
-				s.abortAll()
-				return ErrPickAbort
-			}
-			if idx < 0 || idx >= len(cands) {
-				s.abortAll()
-				return fmt.Errorf("sim: chooser picked %d of %d candidates", idx, len(cands))
-			}
-		}
-		s.grant(cands[idx])
+	}
+	if err != nil {
+		s.abortAll()
+		return err
 	}
 
 	var errs []error
@@ -78,6 +62,46 @@ func (s *System) Run() error {
 		}
 	}
 	return errors.Join(errs...)
+}
+
+// decide makes one scheduling decision: it lets the crash injector halt
+// processes, collects the legal candidates, enforces the step limit and
+// lets the chooser pick among several candidates. It returns the
+// process to grant next, or nil once every program has finished; a
+// non-nil error ends the run. decide runs in Run or, via settle, on the
+// coroutine of the process that just parked; only Run reaches the crash
+// injector, since crashing a victim unwinds its coroutine.
+func (s *System) decide() (*Process, error) {
+	cands := s.candidates()
+	if s.crasher != nil && !s.allDone() {
+		if victims := s.crasher.Crashes(Decision{Candidates: cands, Procs: s.procs, Step: s.steps, Sys: s, Since: s.since}); len(victims) > 0 {
+			for _, v := range victims {
+				s.crash(v)
+			}
+			cands = s.candidates()
+		}
+	}
+	if len(cands) == 0 {
+		if s.allDone() {
+			return nil, nil
+		}
+		return nil, errors.New("sim: no schedulable process (internal invariant violated)")
+	}
+	if s.steps >= s.cfg.MaxSteps {
+		return nil, fmt.Errorf("%w (limit %d)", ErrStepLimit, s.cfg.MaxSteps)
+	}
+	if len(cands) == 1 {
+		return cands[0], nil
+	}
+	idx := s.cfg.Chooser.Pick(Decision{Candidates: cands, Procs: s.procs, Step: s.steps, Sys: s, Since: s.since})
+	s.since = s.since[:0]
+	if idx == PickAbort {
+		return nil, ErrPickAbort
+	}
+	if idx < 0 || idx >= len(cands) {
+		return nil, fmt.Errorf("sim: chooser picked %d of %d candidates", idx, len(cands))
+	}
+	return cands[idx], nil
 }
 
 func (s *System) allDone() bool {
@@ -200,13 +224,13 @@ func (s *System) clearHolder(p *Process) {
 	}
 }
 
-// grant lets process p execute one atomic statement, performing all
-// scheduling bookkeeping (arrivals, same-priority preemptions, quantum
-// protection, invocation completion).
-func (s *System) grant(p *Process) {
+// begin does the scheduling bookkeeping that precedes p's granted
+// statement: its arrival if it was thinking, the same-priority
+// preemption of its level's quantum holder, and the holder slot.
+func (s *System) begin(p *Process) {
 	i, lvl := p.processor, p.pri
-	arrived := p.state == stateThinking
-	if arrived {
+	p.arrived = p.state == stateThinking
+	if p.arrived {
 		s.observeSched(SchedEvent{Kind: SchedArrive, Proc: p, Step: s.steps})
 		// The arrival statement starts the invocation: mark the process
 		// runnable now so a single-statement invocation (whose next yield
@@ -224,9 +248,15 @@ func (s *System) grant(p *Process) {
 		s.observeSched(SchedEvent{Kind: SchedPreempt, Proc: h, By: p, Step: s.steps})
 	}
 	s.setHolder(i, lvl, p)
+	p.granted = true
+}
 
-	kind, fp := p.resume(grantRun)
-
+// finish does the bookkeeping that follows p's granted statement, given
+// the yield p parked with after it: statement counters, quantum
+// protection, the observation hash, the access log, the statement event
+// and the yield itself.
+func (s *System) finish(p *Process, kind yieldKind, fp mem.Footprint) {
+	p.granted = false
 	p.stmtsTotal++
 	p.stmtsThisInv++
 	p.sinceResume++
@@ -245,12 +275,36 @@ func (s *System) grant(p *Process) {
 		Proc:      p.id,
 		Processor: p.processor,
 		Fp:        p.lastEvent.Fp,
-		Global:    arrived || kind != yieldStmt,
+		Global:    p.arrived || kind != yieldStmt,
 	})
 	if s.cfg.Observer != nil {
 		s.cfg.Observer.OnStatement(p.lastEvent)
 	}
 	s.consume(p, kind, fp)
+}
+
+// settle runs on p's coroutine when p parks after a granted statement:
+// p finishes its own statement and, unless its program ended or crashes
+// are armed (the injector's victim may be p itself, and only the kernel
+// side unwinds coroutines), makes the next decision in place. It
+// reports whether that decision granted p again, in which case p
+// continues without a coroutine switch; otherwise the decision is left
+// in s.next/s.nextErr for Run. onCoro marks the span in which a chooser
+// or observer panic must escape Run rather than become p's error.
+func (s *System) settle(p *Process, kind yieldKind, fp mem.Footprint) bool {
+	s.onCoro = true
+	s.finish(p, kind, fp)
+	again := false
+	if kind != yieldDone && s.crasher == nil {
+		next, err := s.decide()
+		if again = next == p; again {
+			s.begin(p)
+		} else {
+			s.next, s.nextErr, s.decided = next, err, true
+		}
+	}
+	s.onCoro = false
+	return again
 }
 
 // consume updates kernel-side state from a process's yield.

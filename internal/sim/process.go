@@ -50,9 +50,11 @@ type Invocation func(c *Ctx)
 // The process body runs on a runtime coroutine (iter.Pull): the kernel
 // resumes it with resume, the body parks itself with park. Control
 // strictly alternates — exactly one of kernel and process is running at
-// any time — so a grant is a direct coroutine switch, not a channel
-// round-trip through the goroutine scheduler. Data crosses the switch
-// through the grant/yKind/yFp fields.
+// any time. A parking process settles its own statement and makes the
+// next scheduling decision in place, so it switches back to the kernel
+// only when that decision hands the processor to another process (see
+// System.settle). Data crosses a switch through the grant/yKind/yFp
+// fields.
 type Process struct {
 	id        int
 	name      string
@@ -80,8 +82,11 @@ type Process struct {
 	yKind yieldKind
 	yFp   mem.Footprint
 
-	// Kernel-side scheduling state.
+	// Kernel-side scheduling state. granted marks a statement begun by
+	// System.begin and not yet finished; arrived marks it an arrival.
 	state       procState
+	granted     bool
+	arrived     bool
 	protected   bool // mid-quantum guarantee after a same-priority preemption
 	sinceResume int  // own statements since last same-priority preemption
 	preemptions int  // same-priority preemptions suffered
@@ -118,8 +123,8 @@ type Process struct {
 	invStmtsLog []int64
 
 	// lastEvent describes the statement most recently executed; written
-	// by the process while it holds the baton, read by the kernel after
-	// the baton returns.
+	// by the process while it executes the statement, read by the
+	// kernel's bookkeeping when the process next parks (finish).
 	lastEvent StmtEvent
 
 	aborted bool
@@ -247,6 +252,9 @@ func (p *Process) startCoro() {
 			if p.stopping {
 				return
 			}
+			if p.granted {
+				p.sys.settle(p, yieldDone, mem.Footprint{})
+			}
 			p.yKind = yieldDone
 			if !yield(struct{}{}) {
 				return
@@ -262,6 +270,7 @@ func (p *Process) startCoro() {
 // the arrival protocol).
 func (p *Process) resume(g grantKind) (yieldKind, mem.Footprint) {
 	p.grant = g
+	p.sys.resumes++
 	if !p.started {
 		p.startCoro()
 	}
@@ -273,10 +282,16 @@ func (p *Process) resume(g grantKind) (yieldKind, mem.Footprint) {
 	return p.yKind, p.yFp
 }
 
-// park yields control back to the kernel with the given message and
-// returns the grant the kernel resumes with. A false yield means the
-// coroutine is being torn down: unwind without parking again.
+// park ends the process's turn with the given message and returns its
+// next grant. After a granted statement the process first settles it in
+// place, and if the resulting decision grants it again, park returns
+// without a coroutine switch. Otherwise it yields control back to the
+// kernel; a false yield means the coroutine is being torn down: unwind
+// without parking again.
 func (p *Process) park(kind yieldKind, fp mem.Footprint) grantKind {
+	if p.granted && p.sys.settle(p, kind, fp) {
+		return grantRun
+	}
 	p.yKind = kind
 	p.yFp = fp
 	if !p.yield(struct{}{}) {
@@ -288,10 +303,15 @@ func (p *Process) park(kind yieldKind, fp mem.Footprint) grantKind {
 
 // runProgram executes one full pass of the process's program, converting
 // panics into p.err exactly as the goroutine shell did. Kernel-initiated
-// aborts (errAborted) unwind silently.
+// aborts (errAborted) unwind silently, and a chooser or observer panic
+// raised while the process settled a statement (System.onCoro) is
+// re-raised: it leaves the coroutine and escapes Run with its value.
 func (p *Process) runProgram() {
 	defer func() {
 		if r := recover(); r != nil && r != errAborted { //nolint:errorlint // sentinel identity
+			if p.sys.onCoro {
+				panic(r)
+			}
 			p.err = fmt.Errorf("sim: process %s panicked: %v", p.name, r)
 		}
 	}()

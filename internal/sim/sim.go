@@ -36,12 +36,19 @@
 //
 // # Mechanics
 //
-// Each process body runs on a runtime coroutine (iter.Pull); the kernel
-// (the caller of Run) resumes exactly one process at a time, and the
-// process executes exactly one atomic statement per grant before parking
-// again. Control strictly alternates between kernel and process, so a
-// grant is a single coroutine switch — no goroutines, channels, or
-// scheduler trips — and shared accesses need no further synchronization.
+// Each process body runs on a runtime coroutine (iter.Pull), and exactly
+// one of the kernel (the caller of Run) and the processes runs at any
+// time, so shared accesses need no further synchronization. A process
+// executes exactly one atomic statement per grant. When it parks after
+// that statement, it does the kernel's bookkeeping for the statement
+// and makes the next scheduling decision itself, on its own coroutine;
+// if the decision grants it again, it simply continues. Only a handoff
+// to another process, the end of its program, an error that ends the
+// run, or a step while crashes are armed switches back to the kernel,
+// which alone resumes, aborts and crashes coroutines. A statement the
+// scheduler keeps on the same process therefore costs no coroutine
+// switch, and a handoff costs two — no goroutines, channels, or
+// scheduler trips either way.
 //
 // A System can be pooled across runs: builders that register state-reset
 // hooks with OnReset make the system Reusable, and Reset restores it to
@@ -118,7 +125,10 @@ func (d Decision) Independent(i, j int) bool {
 const PickAbort = -1
 
 // Chooser resolves scheduling nondeterminism. Pick must return an index
-// into d.Candidates, or PickAbort to terminate the run.
+// into d.Candidates, or PickAbort to terminate the run. The kernel calls
+// Pick synchronously during Run, often on the coroutine of the process
+// that executed the previous statement; a panic escapes Run with its
+// value.
 type Chooser interface {
 	Pick(d Decision) int
 }
@@ -234,6 +244,19 @@ type System struct {
 	// since accumulates executed accesses between decision points for
 	// Decision.Since.
 	since []Access
+
+	// crasher is the run's armed crash injector, or nil.
+	crasher Crasher
+	// next/nextErr carry a decision a process made on its own coroutine
+	// (settle) back to Run; decided marks them valid. onCoro is set while
+	// a process settles, so a panic out of the chooser or observer is
+	// told apart from a panic of the process's program.
+	next    *Process
+	nextErr error
+	decided bool
+	onCoro  bool
+	// resumes counts coroutine resumes, for tests of the switch count.
+	resumes int64
 }
 
 // New returns an empty system with the given configuration.
@@ -343,9 +366,12 @@ func (s *System) Reset() {
 	}
 }
 
-// Close tears down the process coroutines. A closed system cannot Run
-// again; Close is safe to call at any point, including after a panic
-// escaped Run with coroutines parked mid-invocation.
+// Close tears down the process coroutines. Whoever builds a one-shot
+// System closes it once done with it: until then every started process
+// coroutine stays parked, holding its stack and everything it
+// references. A closed system cannot Run again; Close is safe to call at
+// any point, including after a panic escaped Run with coroutines parked
+// mid-invocation.
 func (s *System) Close() {
 	for _, p := range s.procs {
 		if p.stop != nil {

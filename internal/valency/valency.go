@@ -109,6 +109,7 @@ func Analyze(s Scenario, maxLeaves int) *Result {
 		sys, outcome := s(script)
 		runErr := sys.Run()
 		out := outcome(runErr)
+		sys.Close()
 		res.Leaves++
 
 		// Record the leaf into the trie.
@@ -180,6 +181,7 @@ func AnalyzeBudget(s Scenario, budget, maxLeaves int) *Result {
 		sys, outcome := s(ch)
 		runErr := sys.Run()
 		out := outcome(runErr)
+		sys.Close()
 		res.Leaves++
 
 		n := root

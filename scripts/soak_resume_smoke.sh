@@ -9,7 +9,7 @@
 # before the SIGKILL), PARALLEL.
 set -eu
 
-RUNS=${RUNS:-20000}
+RUNS=${RUNS:-60000}
 SEED=${SEED:-1}
 KILL_AFTER=${KILL_AFTER:-2}
 PARALLEL=${PARALLEL:-2}
