@@ -166,7 +166,8 @@ const gateAttempts = 3
 
 // runGate is the CI regression gate (`make bench-gate`): it re-times
 // the sequential plain leg and the reduced leg (best of gateAttempts
-// each) and fails if either schedules/sec figure drops more than drop
+// each; the reduced leg at the baseline's parallel worker count, as
+// recorded) and fails if either schedules/sec figure drops more than drop
 // below the committed baseline, if the reduced-mode per-run cost ratio
 // rises more than drop above it, or if the progress measurement's
 // starvation gap falls more than drop below it. Only regressions fail;
@@ -192,6 +193,10 @@ func runGate(baselinePath string, drop float64) {
 	if err := json.Unmarshal(h.Latest, &base); err != nil {
 		fatal(fmt.Errorf("gate: parsing baseline %s latest entry: %w", baselinePath, err))
 	}
+	// The baseline's reduction leg ran at the parallel leg's worker
+	// count, and reduced schedule counts depend on it, so re-time it at
+	// that count: at one worker the leg does different work.
+	redWorkers := max(base.Parallel.Workers, 1)
 	var seqRate, redRate float64
 	costRatio := 0.0
 	for i := 0; i < gateAttempts; i++ {
@@ -199,7 +204,7 @@ func runGate(baselinePath string, drop float64) {
 		if err != nil {
 			fatal(err)
 		}
-		red, err := bench.MeasureReduction(1)
+		red, err := bench.MeasureReduction(redWorkers)
 		if err != nil {
 			fatal(err)
 		}
@@ -227,7 +232,7 @@ func runGate(baselinePath string, drop float64) {
 			name, now, was, floor, verdict)
 	}
 	checkLeg("plain explore", seqRate, base.Sequential.PerSec)
-	checkLeg("reduced explore", redRate, base.Reduction.ReducedPerSec)
+	checkLeg(fmt.Sprintf("reduced explore (%d workers)", redWorkers), redRate, base.Reduction.ReducedPerSec)
 	if was := base.Reduction.CostRatio; was <= 0 {
 		fmt.Printf("benchjson: gate: reduced cost ratio: no baseline figure, skipping\n")
 	} else {

@@ -215,3 +215,50 @@ func TestReducedViolationForensicsDeterministic(t *testing.T) {
 		t.Error("minimized bundle of a reduction-found violation replayed clean")
 	}
 }
+
+// TestReducedParallelWork holds parallel reduced exploration to the
+// single-worker verdict and close to its work: a fingerprint entry made
+// by one worker prunes another worker's covered visit, so extra workers
+// split the tree instead of exploring its shared states again. The
+// small case is not skipped under -short, so the race build runs the
+// cross-worker pruning path.
+func TestReducedParallelWork(t *testing.T) {
+	t.Run("unicons-n2-q0", func(t *testing.T) {
+		cfg := crossConfig{name: "unicons-n2-q0", meta: artifact.Meta{Workload: "unicons", N: 2, V: 1, Quantum: 0}}
+		one, four := runCross(t, cfg, check.ReductionFull, 1), runCross(t, cfg, check.ReductionFull, 4)
+		if one.OK() || four.OK() {
+			t.Fatalf("violations at p1 %d, p4 %d; want both > 0", one.ViolationsTotal, four.ViolationsTotal)
+		}
+	})
+	t.Run("unicons-n3-q2", func(t *testing.T) {
+		if testing.Short() {
+			t.Skip("N=3 exploration is heavyweight")
+		}
+		cfg := crossConfig{name: "unicons-n3-q2", meta: artifact.Meta{Workload: "unicons", N: 3, V: 1, Quantum: 2}}
+		one, four := runCross(t, cfg, check.ReductionFull, 1), runCross(t, cfg, check.ReductionFull, 4)
+		if one.OK() != four.OK() {
+			t.Fatalf("verdicts differ: p1 %d violations, p4 %d", one.ViolationsTotal, four.ViolationsTotal)
+		}
+		if limit := one.Schedules * 3 / 2; four.Schedules > limit {
+			t.Errorf("p4 executed %d schedules, more than 1.5x the p1 %d", four.Schedules, one.Schedules)
+		}
+	})
+}
+
+// TestReducedOneWorkerCounts pins single-worker reduced schedule counts,
+// which are deterministic: the cross-worker pruning rule must leave a
+// lone worker's exploration exactly as it was.
+func TestReducedOneWorkerCounts(t *testing.T) {
+	cases := []struct {
+		cfg  crossConfig
+		want int
+	}{
+		{crossConfig{name: "all-unicons-n2-q0", meta: artifact.Meta{Workload: "unicons", N: 2, V: 1, Quantum: 0}}, 171},
+		{crossConfig{name: "budget3-unicons-n3-q8", meta: artifact.Meta{Workload: "unicons", N: 3, V: 1, Quantum: 8}, budget: 3}, 2469},
+	}
+	for _, tc := range cases {
+		if got := runCross(t, tc.cfg, check.ReductionFull, 1).Schedules; got != tc.want {
+			t.Errorf("%s: %d schedules at one worker, want %d", tc.cfg.name, got, tc.want)
+		}
+	}
+}

@@ -200,17 +200,18 @@ func (e *wsEngine[T]) steal(w int) *T {
 // calling goroutine — no worker pool, no synchronization beyond the
 // collector's — reproducing the canonical sequential enumeration order
 // exactly. Otherwise each of parallelism workers owns a deque and
-// steals when dry. newWorker is called once per worker and returns
-// that worker's process function, which owns all pooled per-worker
-// state (system runner, choosers, scratch buffers); process must push
-// an item's children before returning. export, if non-nil, receives
+// steals when dry. newWorker is called once per worker with its index
+// (0 on the sequential path) and returns that worker's process
+// function, which owns all pooled per-worker state (system runner,
+// choosers, scratch buffers); process must push an item's children
+// before returning. export, if non-nil, receives
 // every item left unprocessed when the exploration stops early (the
 // frontier-checkpoint hook). Once every worker has returned, explore
 // closes the systems their runners built.
-func explore[T any](c *collector, roots []*T, parallelism int, export func(*T), newWorker func() func(item *T, push func(*T))) {
+func explore[T any](c *collector, roots []*T, parallelism int, export func(*T), newWorker func(worker int) func(item *T, push func(*T))) {
 	defer c.closeRunners()
 	if parallelism <= 1 {
-		process := newWorker()
+		process := newWorker(0)
 		// Reversed so the first root is popped (and explored) first,
 		// preserving canonical order across a resume.
 		stack := make([]*T, 0, len(roots))
@@ -247,7 +248,7 @@ func explore[T any](c *collector, roots []*T, parallelism int, export func(*T), 
 		//repro:allow goroutine sanctioned explorer worker pool; the collector merges results in canonical schedule order
 		go func(w int) {
 			defer wg.Done()
-			e.worker(w, newWorker())
+			e.worker(w, newWorker(w))
 		}(w)
 	}
 	wg.Wait()

@@ -442,7 +442,7 @@ func ExploreAll(build Builder, opts Options) *Result {
 		export = c.exportAll
 	}
 	explore(c, seedItemsAll(opts.SeedFrontier), opts.parallelism(), export,
-		func() func(*prefixItem, func(*prefixItem)) {
+		func(int) func(*prefixItem, func(*prefixItem)) {
 			w := &allWorker{c: c, r: c.addRunner(build), script: &sched.Script{},
 				dog: newWatchdog(opts), export: export}
 			return w.process
@@ -618,7 +618,7 @@ func ExploreBudget(build Builder, budget int, opts Options) *Result {
 		export = c.exportBudget
 	}
 	explore(c, seedItemsBudget(opts.SeedFrontier, budget), opts.parallelism(), export,
-		func() func(*budgetItem, func(*budgetItem)) {
+		func(worker int) func(*budgetItem, func(*budgetItem)) {
 			w := &budgetWorker{c: c, r: c.addRunner(build), ch: &sched.BudgetedSwitch{},
 				dog: newWatchdog(opts), export: export}
 			if cache != nil {
@@ -626,7 +626,7 @@ func ExploreBudget(build Builder, budget int, opts Options) *Result {
 				// switch, where the run is a pure default continuation from a
 				// state the fingerprint fully identifies (plus the chooser's
 				// current-process steering, folded in via PruneInfo.Extra).
-				w.ch.Prune = cache.pruneFunc()
+				w.ch.Prune = cache.pruneFunc(worker)
 			}
 			return w.process
 		})

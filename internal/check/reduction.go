@@ -30,8 +30,8 @@ const (
 	// prefixes).
 	ReductionSleepSet
 	// ReductionFingerprint enables visited-state fingerprint pruning in
-	// ExploreAll and ExploreBudget: a run reaching a state a canonically
-	// earlier run already covered with at least the same freedom aborts.
+	// ExploreAll and ExploreBudget: a run reaching a state another run
+	// already covered with at least the same freedom aborts.
 	ReductionFingerprint
 	// ReductionFull enables both.
 	ReductionFull
@@ -101,8 +101,8 @@ type ReductionStats struct {
 	// SleepSkippedBranches counts subtree children never spawned because
 	// the branch candidate was asleep at its decision point.
 	SleepSkippedBranches int64
-	// FingerprintPrunedRuns counts runs aborted on reaching a state a
-	// canonically earlier visit already covered.
+	// FingerprintPrunedRuns counts runs aborted on reaching a state
+	// another visit already covered.
 	FingerprintPrunedRuns int
 	// CacheHits counts fingerprint-cache lookups that found an entry
 	// (whether or not the entry justified pruning).
@@ -120,15 +120,19 @@ type ReductionStats struct {
 const unboundedBudget = math.MaxInt
 
 // fpEntry is one visited-state record: the canonical identity of the
-// visit (its taken-decision vector), the sleep set it ran under, and the
-// deviation budget it had. A later visit of the same state may be pruned
-// only if this visit is strictly more canonical, explored at least as
-// freely (superset budget, subset sleep), and is not simply the same
-// run's own earlier pass through a default-continuation cycle.
+// visit (its taken-decision vector), the sleep set it ran under, the
+// deviation budget it had, and the worker whose run made the visit. The
+// visitor was not pruned here, so its run continued past the state. A
+// later visit of the same state may be pruned only if this visit
+// explored at least as freely (superset budget, subset sleep); when
+// both visits come from the same worker it must also be strictly more
+// canonical and not simply the same run's own earlier pass through a
+// default-continuation cycle (see visit).
 type fpEntry struct {
 	key    []int
 	sleep  []sched.SleepEntry
 	budget int
+	worker int
 }
 
 // fpCache is the bounded visited-fingerprint cache shared by all
@@ -137,7 +141,7 @@ type fpEntry struct {
 // pruning. With Parallelism > 1 the insert/lookup interleaving across
 // workers is timing-dependent, so reduced-mode schedule counts (never
 // verdicts) can vary run-to-run; Parallelism: 1 restores byte-identical
-// counts.
+// counts, because a worker's own entries follow the key order alone.
 type fpCache struct {
 	mu sync.Mutex
 	// noLock elides the mutex on the single-worker path (Parallelism
@@ -250,43 +254,54 @@ func sleepSubset(a, b []sched.SleepEntry) bool {
 }
 
 // visit records or consults the cache for state fingerprint fp reached
-// by the run identified by taken, and reports whether the run may be
-// pruned here. taken and sleep are only valid during the call (they are
-// copied on insert).
+// by a run of worker w identified by taken, and reports whether the run
+// may be pruned here. taken and sleep are only valid during the call
+// (they are copied on insert).
 //
-// The rules, each load-bearing for soundness:
+// The rules:
 //
 //   - miss: insert, never prune — the current run claims the state.
-//   - hit with an entry whose key is a proper prefix of taken: the
-//     run's own earlier pass (a default-continuation cycle); pruning
-//     would cut deviations past this point that nobody else generates,
-//     so the run continues (and, like the plain explorer, terminates
-//     via MaxSteps if the cycle is real).
-//   - hit with a strictly smaller key: the earlier visitor's subtree
-//     covers ours if its budget was at least ours and its sleep set at
-//     most ours; then prune. Induction over the well-founded key order
-//     bottoms out at the minimal visitor, which is never pruned.
-//   - hit with a strictly larger key: the current run is the more
-//     canonical visitor; it replaces the entry and continues.
-func (c *fpCache) visit(fp uint64, taken []int, sleep []sched.SleepEntry, budget int) bool {
+//   - hit on another worker's entry: prune if that visitor covers ours,
+//     whatever the two keys; otherwise continue and leave the entry
+//     alone.
+//   - hit on the worker's own entry: the key order decides, as it
+//     always has on a single worker. An equal key is the run's own
+//     replay, and a key that is a proper prefix of taken is the run's
+//     own earlier pass through a default-continuation cycle; neither
+//     prunes, since that would cut deviations past this point that
+//     nobody else generates (a real cycle ends at MaxSteps, as in the
+//     plain explorer). A strictly smaller key prunes if it covers
+//     ours. A strictly larger key is replaced by the current, more
+//     canonical visitor, which continues.
+//
+// Every entry belongs to a visitor that was not pruned at the state and
+// so ran on past it, and fingerprint-equal states sit at the same step
+// depth (the fingerprint hashes every process's statement count). A
+// prune therefore hands the subtree to a run already past the state,
+// which can itself be pruned only strictly deeper; induction on depth
+// bottoms out at the deepest states, so any covering entry may prune
+// (DESIGN.md §10). The key order on a worker's own entries is not
+// needed for soundness: it keeps single-worker explorations exactly as
+// they were.
+func (c *fpCache) visit(fp uint64, w int, taken []int, sleep []sched.SleepEntry, budget int) bool {
 	if !c.noLock {
 		c.mu.Lock()
 		defer c.mu.Unlock()
 	}
 	e, ok := c.entries[fp]
 	if !ok {
-		c.insert(fp, taken, sleep, budget)
+		c.insert(fp, w, taken, sleep, budget)
 		return false
 	}
 	c.hits++
+	if e.worker != w {
+		return e.covers(budget, sleep)
+	}
 	switch cmp := compareKey(e.key, taken); {
 	case cmp == 0:
 		return false
 	case cmp < 0:
-		if isPrefix(e.key, taken) {
-			return false
-		}
-		return e.budget >= budget && sleepSubset(e.sleep, sleep)
+		return !isPrefix(e.key, taken) && e.covers(budget, sleep)
 	default:
 		// The current run is the more canonical visitor: replace the
 		// entry in place, reusing its slices (they belong to this entry
@@ -299,7 +314,15 @@ func (c *fpCache) visit(fp uint64, taken []int, sleep []sched.SleepEntry, budget
 	}
 }
 
-func (c *fpCache) insert(fp uint64, taken []int, sleep []sched.SleepEntry, budget int) {
+// covers reports whether e's visitor explored the shared future at
+// least as freely as a visitor with this budget and sleep set: every
+// deviation the visitor may still place, e's visitor could too, and
+// every branch the visitor may take, e's visitor did not skip.
+func (e fpEntry) covers(budget int, sleep []sched.SleepEntry) bool {
+	return e.budget >= budget && sleepSubset(e.sleep, sleep)
+}
+
+func (c *fpCache) insert(fp uint64, w int, taken []int, sleep []sched.SleepEntry, budget int) {
 	if len(c.entries) >= c.capacity {
 		victim := c.order[c.head]
 		c.order[c.head] = fp
@@ -317,6 +340,7 @@ func (c *fpCache) insert(fp uint64, taken []int, sleep []sched.SleepEntry, budge
 		key:    c.putKey(taken),
 		sleep:  sleepCopy,
 		budget: budget,
+		worker: w,
 	}
 }
 
@@ -346,13 +370,14 @@ func (c *fpCache) stats() (hits, evictions int64, entries int) {
 }
 
 // pruneFunc adapts the cache to the chooser-side sched.PruneFunc
-// contract: the state key folds the chooser's private steering state
-// (PruneInfo.Extra) into the system fingerprint, since two states equal
-// in the system but steered differently have different futures.
-func (c *fpCache) pruneFunc() sched.PruneFunc {
+// contract for worker w's chooser: the state key folds the chooser's
+// private steering state (PruneInfo.Extra) into the system fingerprint,
+// since two states equal in the system but steered differently have
+// different futures.
+func (c *fpCache) pruneFunc(w int) sched.PruneFunc {
 	return func(info sched.PruneInfo) bool {
 		fp := mem.Mix(info.Decision.Sys.Fingerprint(), info.Extra)
-		return c.visit(fp, info.Taken, info.Sleep, info.Budget)
+		return c.visit(fp, w, info.Taken, info.Sleep, info.Budget)
 	}
 }
 
@@ -376,7 +401,7 @@ func exploreAllReduced(build Builder, opts Options) *Result {
 		cache.noLock = opts.parallelism() == 1
 		c.cache = cache
 	}
-	explore(c, []*redItem{{}}, opts.parallelism(), nil, func() func(*redItem, func(*redItem)) {
+	explore(c, []*redItem{{}}, opts.parallelism(), nil, func(worker int) func(*redItem, func(*redItem)) {
 		w := &redWorker{
 			c:    c,
 			r:    c.addRunner(build),
@@ -385,7 +410,7 @@ func exploreAllReduced(build Builder, opts Options) *Result {
 			dog:  newWatchdog(opts),
 		}
 		if cache != nil {
-			w.ch.Prune = cache.pruneFunc()
+			w.ch.Prune = cache.pruneFunc(worker)
 		}
 		return w.process
 	})

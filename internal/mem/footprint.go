@@ -85,14 +85,17 @@ func HashName(name string) uint64 {
 	return h
 }
 
-// Mix folds v into h with the FNV-1a step, the single mixing primitive
-// behind every fingerprint in the simulator. It is deliberately order
-// sensitive; order-independent combinations XOR the mixed terms.
+// Mix folds v into h, the single mixing primitive behind every
+// fingerprint in the simulator: splitmix64's output finalizer (two
+// multiply–xorshift rounds) applied to h ^ v plus splitmix64's
+// increment. Every step is a bijection, so for a fixed h distinct
+// values mix to distinct results. It is deliberately order sensitive;
+// order-independent combinations XOR the mixed terms. Fingerprints are
+// compared only within one process, never persisted, so the function
+// may change between versions.
 func Mix(h, v uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h ^= v & 0xff
-		h *= fnvPrime
-		v >>= 8
-	}
-	return h
+	z := (h ^ v) + 0x9e3779b97f4a7c15
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return z ^ (z >> 31)
 }

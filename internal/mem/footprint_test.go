@@ -52,14 +52,28 @@ func TestHashNameStableAndDistinct(t *testing.T) {
 	}
 }
 
+// TestMixOrderSensitive checks Mix over ranges rather than one pair:
+// for each fixed h, Mix(h, ·) must not collide on a run of small values
+// (the counters and ids fingerprints fold in), and folding two distinct
+// values in either order must give distinct hashes over a grid of pairs;
+// otherwise fingerprints would conflate distinct histories.
 func TestMixOrderSensitive(t *testing.T) {
-	h := uint64(0x12345)
-	ab := mem.Mix(mem.Mix(h, 1), 2)
-	ba := mem.Mix(mem.Mix(h, 2), 1)
-	if ab == ba {
-		t.Error("Mix is order-insensitive; fingerprints would conflate distinct histories")
-	}
-	if mem.Mix(h, 1) == mem.Mix(h, 2) {
-		t.Error("Mix ignores its value argument")
+	const span = 1 << 16
+	for _, h := range []uint64{0, 1, 0x12345, mem.HashName("x"), mem.Bottom} {
+		seen := make(map[uint64]uint64, span)
+		for v := uint64(0); v < span; v++ {
+			m := mem.Mix(h, v)
+			if prev, dup := seen[m]; dup {
+				t.Fatalf("Mix(%#x, %d) == Mix(%#x, %d) = %#x", h, v, h, prev, m)
+			}
+			seen[m] = v
+		}
+		for a := uint64(0); a < 64; a++ {
+			for b := a + 1; b < 64; b++ {
+				if mem.Mix(mem.Mix(h, a), b) == mem.Mix(mem.Mix(h, b), a) {
+					t.Fatalf("Mix(%#x, ·) folds %d and %d order-insensitively", h, a, b)
+				}
+			}
+		}
 	}
 }

@@ -259,6 +259,10 @@ type BudgetedSwitch struct {
 	// Pruned reports that Prune cut the run (Run returned
 	// sim.ErrPickAbort).
 	Pruned bool
+	// lastSwitch is the largest decision index in SwitchAt (-1 if
+	// none), found at the run's first Pick so the free-decision check
+	// is one comparison rather than a scan of the map.
+	lastSwitch int64
 }
 
 // Reset rewinds the chooser for a pooled rerun with a new deviation
@@ -282,22 +286,24 @@ func (b *BudgetedSwitch) Reset(budget int) {
 	b.Pruned = false
 }
 
-// pendingSwitches reports whether any directed switch remains at
-// decision index idx or later.
-func (b *BudgetedSwitch) pendingSwitches(idx int64) bool {
-	//repro:allow maporder existence scan; any-order traversal yields the same boolean
+// lastDirected returns the largest decision index in SwitchAt, or -1
+// if the map is empty.
+func (b *BudgetedSwitch) lastDirected() int64 {
+	last := int64(-1)
+	//repro:allow maporder max scan; any-order traversal yields the same maximum
 	for d := range b.SwitchAt {
-		if d >= idx {
-			return true
-		}
+		last = max(last, d)
 	}
-	return false
+	return last
 }
 
 // Pick implements sim.Chooser.
 func (b *BudgetedSwitch) Pick(d sim.Decision) int {
 	idx := b.Decision
 	b.Decision++
+	if idx == 0 {
+		b.lastSwitch = b.lastDirected()
+	}
 	b.Fanouts = append(b.Fanouts, len(d.Candidates))
 	choice, ok := b.SwitchAt[idx]
 	switch {
@@ -308,7 +314,7 @@ func (b *BudgetedSwitch) Pick(d sim.Decision) int {
 			b.ClampCount++
 		}
 	default:
-		if b.Prune != nil && !b.pendingSwitches(idx) {
+		if b.Prune != nil && idx > b.lastSwitch {
 			extra := ^uint64(0)
 			if b.current != nil {
 				extra = uint64(b.current.ID())
