@@ -22,6 +22,7 @@
 //	checker -alg fig3 -n 2 -q 0 -mode all -reduction full  # same verdict, far fewer schedules
 //	checker -alg fig7 -p 2 -mode all -timeout 30s -frontier-out f.json  # export the unexplored remainder
 //	checker -alg fig7 -p 2 -mode all -frontier-in f.json                # ...and continue it later
+//	checker -alg fig3 -n 3 -mode fuzz -seeds 5000 -max 1000 -frontier-out f.json  # fuzz and reduced modes export too
 //	checker -alg fig3 -n 3 -q 2 -mode fuzz -sched-model markov:stay=0.8,seed=7
 //	checker -alg fig3 -n 3 -q 2 -measure -assert-max-within 8           # measured wait-freedom
 //	checker -alg lockcounter -n 2 -v 2 -q 2 -max-steps 2000 -measure -assert-max-above 100
@@ -77,7 +78,7 @@ func main() {
 		shrinkBudg = flag.Int("shrink-budget", 0, "candidate replays per shrunk violation (0 = internal/minimize default)")
 		runDeadl   = flag.Duration("run-deadline", 0, "per-run wall-clock bound; a run exceeding it twice is skipped and counted, never hangs the exploration (0 = off)")
 		memSoftMB  = flag.Int64("mem-soft-mb", 0, "soft heap ceiling in MiB: under pressure, shed the fingerprint cache and step workers down instead of dying (0 = off)")
-		frontOut   = flag.String("frontier-out", "", "when the exploration is cut short, write the unexplored frontier to this file (modes all|budget, -reduction none)")
+		frontOut   = flag.String("frontier-out", "", "when the exploration is cut short, write the unexplored frontier (subtrees, or the rest of the fuzz seed range) to this file")
 		frontIn    = flag.String("frontier-in", "", "seed the exploration from a frontier file written by -frontier-out instead of the root")
 		maxSteps   = flag.Int64("max-steps", 0, "per-run simulator step limit (0 = per-algorithm default)")
 		schedModel = flag.String("sched-model", "", "scheduler model for -mode fuzz and -measure (sched.ParseModelSpec grammar, e.g. markov:stay=0.8,seed=7; \"\" = seeded random / uniform)")
@@ -141,17 +142,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	if *frontOut != "" || *frontIn != "" {
-		if !spec.Durable() {
-			if *mode == "fuzz" {
-				fmt.Fprintln(os.Stderr, "checker: frontier export/resume is for the tree explorers (-mode all|budget), not fuzz")
-			} else {
-				fmt.Fprintln(os.Stderr, "checker: frontier export/resume requires -reduction none (reduced explorations prune against in-memory state that a frontier cannot carry)")
-			}
-			os.Exit(2)
-		}
-		opts.ExportFrontier = *frontOut != ""
-	}
+	opts.ExportFrontier = *frontOut != ""
 	if *frontIn != "" {
 		data, err := os.ReadFile(*frontIn)
 		if err != nil {
@@ -161,6 +152,10 @@ func main() {
 		f := &check.Frontier{}
 		if err := json.Unmarshal(data, f); err != nil {
 			fmt.Fprintf(os.Stderr, "checker: frontier %s: %v\n", *frontIn, err)
+			os.Exit(2)
+		}
+		if f.Explorer != "" && f.Explorer != *mode {
+			fmt.Fprintf(os.Stderr, "checker: frontier %s was exported by -mode %s, not %s\n", *frontIn, f.Explorer, *mode)
 			os.Exit(2)
 		}
 		if f.Empty() {

@@ -1,7 +1,7 @@
 // Package check provides schedule-space exploration and property
 // checking for algorithms running on the internal/sim simulator.
 //
-// Three strategies are offered:
+// Three explorers are offered:
 //
 //   - ExploreAll: exhaustive DFS over every scheduling decision — the
 //     full schedule tree. Feasible only for very small configurations.
@@ -16,6 +16,15 @@
 // Each run is built fresh by a Builder, executed, and then verified by
 // the Verify function the builder returned; violations are collected
 // with a replayable description of the offending schedule.
+//
+// Every run is made by one driver (engine.go), which claims a
+// MaxSchedules slot, arms the per-run watchdog, contains panics, skips
+// aliased runs, records violations, counts the run and pushes its
+// children. What differs between explorers is a small strategy: the
+// prefix strategy (plain ExploreAll), the switch-word strategy
+// (ExploreBudget), the sleep-set strategy (reduced ExploreAll) and the
+// seed strategy (Fuzz). So every explorer exports and resumes frontiers
+// (Options.ExportFrontier, Options.SeedFrontier) the same way.
 //
 // # Parallel exploration
 //
@@ -204,16 +213,18 @@ type Options struct {
 	OnDegrade func(event string)
 	// ExportFrontier, when the exploration is cut short (Context
 	// cancellation, MaxSchedules truncation, StopAtFirst), collects
-	// every unexplored subtree into Result.Frontier instead of dropping
-	// it; feeding that frontier back via SeedFrontier continues the
-	// exploration exactly where it left off. Supported by the plain
-	// (ReductionNone) ExploreAll and ExploreBudget explorers; the
-	// reduced paths and Fuzz ignore it.
+	// every unexplored subtree (for Fuzz, the first seed not yet run)
+	// into Result.Frontier instead of dropping it; feeding that frontier
+	// back via SeedFrontier continues the exploration where it left off.
+	// Every explorer supports it. Plain, sleep-set and Fuzz legs resume
+	// exactly; a fingerprint-pruned leg starts with an empty cache, so
+	// it keeps the verdict but may run more schedules (see Frontier).
 	ExportFrontier bool
 	// SeedFrontier, if non-nil, starts the exploration from a previously
-	// exported frontier's subtrees instead of the root. The frontier
-	// must come from the same explorer over the same builder (the
-	// explorers check Frontier.Explorer). ReductionNone only.
+	// exported frontier instead of the root (for Fuzz, from its seed;
+	// nSeeds still ends the range). The frontier must come from the
+	// same explorer over the same builder (the explorers check
+	// Frontier.Explorer).
 	SeedFrontier *Frontier
 	// SchedModel selects the scheduler model Fuzz draws schedules from
 	// (nil = the historical seeded sched.Random). Each seed's chooser
@@ -254,7 +265,9 @@ func (o Options) maxSchedules() int {
 	return o.MaxSchedules
 }
 
-func (o Options) maxViolations() int {
+// ViolationCap is the number of violations an exploration records in
+// Result.Violations: MaxViolations, or 16 when it is unset.
+func (o Options) ViolationCap() int {
 	if o.MaxViolations <= 0 {
 		return 16
 	}
@@ -362,9 +375,8 @@ type Result struct {
 	Degradations []string
 	// Frontier holds the unexplored remainder of a cut-short exploration
 	// when Options.ExportFrontier is set (nil when the exploration ran
-	// to completion — resuming from an empty frontier is a no-op — or
-	// when the explorer does not support export). Pass it back via
-	// Options.SeedFrontier to continue.
+	// to completion — resuming from an empty frontier is a no-op). Pass
+	// it back via Options.SeedFrontier to continue.
 	Frontier *Frontier
 	// Reduction reports what the reductions did; nil when
 	// Options.Reduction was ReductionNone or the explorer ignores

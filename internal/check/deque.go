@@ -107,7 +107,6 @@ func (d *wsDeque[T]) steal() (v *T, retry bool) {
 type wsEngine[T any] struct {
 	c       *collector
 	deques  []*wsDeque[T]
-	export  func(*T)     // non-nil when the frontier is exported on stop
 	pending atomic.Int64 // items pushed but not yet fully processed
 }
 
@@ -117,13 +116,14 @@ type wsEngine[T any] struct {
 // only after an item's children are pushed, so it never reaches zero
 // while reachable work remains.
 //
-// On a stop with frontier export active, the worker moves its own
-// remaining deque items to the frontier before exiting; an item another
-// worker stole concurrently is exported by that worker's process call
-// (its claim fails), so every unexplored subtree lands in the frontier
-// exactly once. A worker parked by the memory-pressure ladder simply
-// exits: its queued items remain stealable by the survivors.
-func (e *wsEngine[T]) worker(w int, process func(item *T, push func(*T))) {
+// On a stop the worker hands its own remaining deque items to the
+// driver's export, which moves them to the frontier when it is
+// exported; an item another worker stole concurrently is exported by
+// that worker's driver (its claim fails), so every unexplored subtree
+// lands in the frontier exactly once. A worker parked by the
+// memory-pressure ladder simply exits: its queued items remain
+// stealable by the survivors.
+func (e *wsEngine[T]) worker(w int, d *driver[T]) {
 	own := e.deques[w]
 	push := func(item *T) {
 		e.pending.Add(1)
@@ -132,7 +132,9 @@ func (e *wsEngine[T]) worker(w int, process func(item *T, push func(*T))) {
 	idle := 0
 	for {
 		if e.c.stopped() {
-			e.drain(own)
+			for item := own.pop(); item != nil; item = own.pop() {
+				d.export(item)
+			}
 			return
 		}
 		if e.c.parked(w) {
@@ -155,22 +157,8 @@ func (e *wsEngine[T]) worker(w int, process func(item *T, push func(*T))) {
 			continue
 		}
 		idle = 0
-		process(item, push)
+		d.process(item, push)
 		e.pending.Add(-1)
-	}
-}
-
-// drain exports every item left in the worker's own deque after a stop.
-func (e *wsEngine[T]) drain(own *wsDeque[T]) {
-	if e.export == nil {
-		return
-	}
-	for {
-		item := own.pop()
-		if item == nil {
-			return
-		}
-		e.export(item)
 	}
 }
 
@@ -193,25 +181,24 @@ func (e *wsEngine[T]) steal(w int) *T {
 	return nil
 }
 
-// explore drives process over the frontier of schedule subtrees rooted
-// at roots (a single root item for a fresh exploration, or a seeded
-// frontier's subtrees for a resumed one). With parallelism 1 the
-// frontier is a plain LIFO stack and the whole exploration runs on the
-// calling goroutine — no worker pool, no synchronization beyond the
-// collector's — reproducing the canonical sequential enumeration order
-// exactly. Otherwise each of parallelism workers owns a deque and
-// steals when dry. newWorker is called once per worker with its index
-// (0 on the sequential path) and returns that worker's process
-// function, which owns all pooled per-worker state (system runner,
-// choosers, scratch buffers); process must push an item's children
-// before returning. export, if non-nil, receives
-// every item left unprocessed when the exploration stops early (the
-// frontier-checkpoint hook). Once every worker has returned, explore
+// explore runs a tree exploration: it drives the workers' drivers over
+// the frontier of schedule subtrees rooted at roots (a single root item
+// for a fresh exploration, or a seeded frontier's subtrees for a
+// resumed one). With Parallelism 1 the frontier is a plain LIFO stack
+// and the whole exploration runs on the calling goroutine — no worker
+// pool, no synchronization beyond the collector's — reproducing the
+// canonical sequential enumeration order exactly. Otherwise each worker
+// owns a deque and steals when dry. newWorker is called once per worker
+// with its index (0 on the sequential path) and returns that worker's
+// driver, which owns all pooled per-worker state (system runner,
+// chooser, scratch buffers). Items left when the exploration stops go
+// to the drivers' export. Once every worker has returned, explore
 // closes the systems their runners built.
-func explore[T any](c *collector, roots []*T, parallelism int, export func(*T), newWorker func(worker int) func(item *T, push func(*T))) {
+func explore[T any](c *collector, roots []*T, newWorker func(worker int) *driver[T]) {
 	defer c.closeRunners()
+	parallelism := c.opts.parallelism()
 	if parallelism <= 1 {
-		process := newWorker(0)
+		d := newWorker(0)
 		// Reversed so the first root is popped (and explored) first,
 		// preserving canonical order across a resume.
 		stack := make([]*T, 0, len(roots))
@@ -221,20 +208,18 @@ func explore[T any](c *collector, roots []*T, parallelism int, export func(*T), 
 		push := func(item *T) { stack = append(stack, item) }
 		for len(stack) > 0 {
 			if c.stopped() {
-				if export != nil {
-					for _, item := range stack {
-						export(item)
-					}
+				for _, item := range stack {
+					d.export(item)
 				}
 				return
 			}
 			item := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			process(item, push)
+			d.process(item, push)
 		}
 		return
 	}
-	e := &wsEngine[T]{c: c, deques: make([]*wsDeque[T], parallelism), export: export}
+	e := &wsEngine[T]{c: c, deques: make([]*wsDeque[T], parallelism)}
 	for i := range e.deques {
 		e.deques[i] = newWSDeque[T]()
 	}

@@ -3,12 +3,14 @@ package check_test
 import (
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/check"
 	"repro/internal/mem"
+	"repro/internal/sched"
 	"repro/internal/sim"
 )
 
@@ -68,53 +70,143 @@ func resumeToCompletion(t *testing.T, leg func(f *check.Frontier) *check.Result)
 	}
 }
 
-// TestFrontierResumeExploreAll: an ExploreAll interrupted every few
-// schedules and resumed from its exported frontier executes, over all
-// legs, exactly the schedules of the uninterrupted exploration.
-func TestFrontierResumeExploreAll(t *testing.T) {
-	build := twoProcBuilder(4, 1)
-	full := check.ExploreAll(build, check.Options{Parallelism: 1})
-	if full.Truncated || full.Schedules < 10 {
-		t.Fatalf("baseline: schedules=%d truncated=%v", full.Schedules, full.Truncated)
-	}
-	legs := 0
-	schedules, _ := resumeToCompletion(t, func(f *check.Frontier) *check.Result {
-		legs++
-		return check.ExploreAll(build, check.Options{
-			Parallelism: 1, MaxSchedules: 5, ExportFrontier: true, SeedFrontier: f,
-		})
-	})
-	if schedules != full.Schedules {
-		t.Fatalf("resumed legs executed %d schedules, uninterrupted executed %d", schedules, full.Schedules)
-	}
+// resumeRow is one way of cutting an exploration into resumed legs: a
+// reduction and a worker count.
+type resumeRow struct {
+	red check.Reduction
+	par int
+}
+
+// resumeRows are the reductions and worker counts a resumed exploration
+// is checked under; TestFrontierResumeParallel covers plain legs at four
+// workers.
+var resumeRows = []resumeRow{
+	{check.ReductionNone, 1},
+	{check.ReductionSleepSet, 1},
+	{check.ReductionFull, 1},
+	{check.ReductionSleepSet, 4},
+	{check.ReductionFull, 4},
+}
+
+func (r resumeRow) String() string { return fmt.Sprintf("%s/P%d", r.red, r.par) }
+
+// checkLegs holds the legs of row, resumed from exported frontiers, to
+// the uninterrupted one-worker result ref. Without a fingerprint cache
+// the frontier carries all the exploration's state, and the subtrees a
+// sleep set removes do not depend on the order they are explored in, so
+// the legs run exactly ref's schedules and violations at any worker
+// count. A resumed leg starts with an empty fingerprint cache, so
+// full-reduction legs keep the verdict and run at most noCache
+// schedules (the exploration without the cache), and at one worker at
+// least ref's.
+func checkLegs(t *testing.T, row resumeRow, ref *check.Result, noCache, legs, schedules, violations int) {
+	t.Helper()
 	if legs < 3 {
 		t.Fatalf("only %d legs; the interruption never bit", legs)
 	}
+	if (violations > 0) != (ref.ViolationsTotal > 0) {
+		t.Fatalf("verdict changed: legs found %d violations, uninterrupted %d", violations, ref.ViolationsTotal)
+	}
+	if row.red != check.ReductionFull {
+		if schedules != ref.Schedules || violations != ref.ViolationsTotal {
+			t.Fatalf("legs executed %d schedules with %d violations, uninterrupted %d with %d",
+				schedules, violations, ref.Schedules, ref.ViolationsTotal)
+		}
+		return
+	}
+	if schedules > noCache {
+		t.Fatalf("legs executed %d schedules, more than the %d without a fingerprint cache", schedules, noCache)
+	}
+	if row.par == 1 && schedules < ref.Schedules {
+		t.Fatalf("legs executed %d schedules, fewer than the uninterrupted %d", schedules, ref.Schedules)
+	}
 }
 
-// TestFrontierResumeExploreBudget: same equivalence for the budgeted
-// explorer, including the violation count — every lost update found by
-// the uninterrupted exploration is found by exactly one leg.
-func TestFrontierResumeExploreBudget(t *testing.T) {
-	full := check.ExploreBudget(racyCounterBuilder, 2, check.Options{Parallelism: 1})
-	if full.OK() {
-		t.Fatal("baseline found no lost update")
-	}
-	legs := 0
-	schedules, violations := resumeToCompletion(t, func(f *check.Frontier) *check.Result {
-		legs++
-		return check.ExploreBudget(racyCounterBuilder, 2, check.Options{
-			Parallelism: 1, MaxSchedules: 3, ExportFrontier: true, SeedFrontier: f,
+// TestFrontierResumeExploreAll: an ExploreAll interrupted every few
+// schedules and resumed from its exported frontier covers the
+// uninterrupted exploration, with and without reduction (each reduced
+// item carries its sleep set).
+func TestFrontierResumeExploreAll(t *testing.T) {
+	// Quantum 0, so that sleep sets prune: under quantum scheduling every
+	// statement on a processor wakes the sleepers there.
+	build := fig3Builder(2, 0)
+	noCache := check.ExploreAll(build, check.Options{Parallelism: 1, Reduction: check.ReductionSleepSet})
+	for _, row := range resumeRows {
+		t.Run(row.String(), func(t *testing.T) {
+			ref := check.ExploreAll(build, check.Options{Parallelism: 1, Reduction: row.red})
+			if ref.Truncated || ref.OK() {
+				t.Fatalf("baseline: schedules=%d truncated=%v violations=%d", ref.Schedules, ref.Truncated, ref.ViolationsTotal)
+			}
+			legs := 0
+			schedules, violations := resumeToCompletion(t, func(f *check.Frontier) *check.Result {
+				legs++
+				return check.ExploreAll(build, check.Options{
+					Parallelism: row.par, Reduction: row.red, MaxSchedules: 50, ExportFrontier: true, SeedFrontier: f,
+				})
+			})
+			checkLegs(t, row, ref, noCache.Schedules, legs, schedules, violations)
 		})
-	})
-	if schedules != full.Schedules {
-		t.Fatalf("resumed legs executed %d schedules, uninterrupted executed %d", schedules, full.Schedules)
 	}
-	if violations != full.ViolationsTotal {
-		t.Fatalf("resumed legs found %d violations, uninterrupted found %d", violations, full.ViolationsTotal)
+}
+
+// TestFrontierResumeExploreBudget: the same for the budgeted explorer,
+// which ignores sleep sets and prunes by fingerprint under full
+// reduction.
+func TestFrontierResumeExploreBudget(t *testing.T) {
+	build := fig3Builder(2, 1)
+	noCache := check.ExploreBudget(build, 3, check.Options{Parallelism: 1})
+	for _, row := range resumeRows {
+		t.Run(row.String(), func(t *testing.T) {
+			ref := check.ExploreBudget(build, 3, check.Options{Parallelism: 1, Reduction: row.red})
+			if ref.OK() {
+				t.Fatal("baseline found no violation")
+			}
+			legs := 0
+			schedules, violations := resumeToCompletion(t, func(f *check.Frontier) *check.Result {
+				legs++
+				return check.ExploreBudget(build, 3, check.Options{
+					Parallelism: row.par, Reduction: row.red, MaxSchedules: 20, ExportFrontier: true, SeedFrontier: f,
+				})
+			})
+			checkLegs(t, row, ref, noCache.Schedules, legs, schedules, violations)
+		})
 	}
-	if legs < 2 {
-		t.Fatalf("only %d legs; the interruption never bit", legs)
+}
+
+// TestFrontierResumeFuzz: a Fuzz cut every few seeds runs the next
+// MaxSchedules seeds at any parallelism, and its frontier is the first
+// seed not yet run, so the legs run the uninterrupted seed range
+// exactly: summed schedules, violation totals and the violating seeds
+// all match.
+func TestFrontierResumeFuzz(t *testing.T) {
+	const seeds = 300
+	for _, par := range []int{1, 4} {
+		t.Run(fmt.Sprintf("P%d", par), func(t *testing.T) {
+			opts := check.Options{Parallelism: par, MaxViolations: seeds}
+			full := check.Fuzz(racyCounterBuilder, seeds, opts)
+			if full.OK() {
+				t.Fatal("baseline found no lost update")
+			}
+			var want, got []string
+			for _, v := range full.Violations {
+				want = append(want, v.Schedule)
+			}
+			legs := 0
+			schedules, violations := resumeToCompletion(t, func(f *check.Frontier) *check.Result {
+				legs++
+				o := opts
+				o.MaxSchedules, o.ExportFrontier, o.SeedFrontier = 40, true, f
+				res := check.Fuzz(racyCounterBuilder, seeds, o)
+				for _, v := range res.Violations {
+					got = append(got, v.Schedule)
+				}
+				return res
+			})
+			checkLegs(t, resumeRow{check.ReductionNone, par}, full, full.Schedules, legs, schedules, violations)
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("legs recorded violating seeds %v, uninterrupted %v", got, want)
+			}
+		})
 	}
 }
 
@@ -154,6 +246,45 @@ func TestFrontierExportDeterministic(t *testing.T) {
 	}
 }
 
+// TestFrontierItemEncoding pins the persisted form of every frontier
+// item shape. A checkpointed frontier outlives the binary that wrote
+// it, so a renamed field must fail here rather than decode to a zero
+// value: a zero footprint commutes with everything, and its sleeper
+// would never wake. The prefix and switch-word forms are the ones
+// earlier versions wrote.
+func TestFrontierItemEncoding(t *testing.T) {
+	for _, row := range []struct {
+		name string
+		item check.FrontierItem
+		json string
+	}{
+		{"prefix", check.FrontierItem{Prefix: []int{0, 2}}, `{"prefix":[0,2]}`},
+		{"sleep set", check.FrontierItem{Prefix: []int{1}, Sleep: []sched.SleepEntry{
+			{Proc: 0, Processor: 1, Fp: mem.Footprint{Obj: 42, Cell: -1, Kind: mem.AccessCons}},
+		}}, `{"prefix":[1],"sleep":[{"proc":0,"processor":1,"fp":{"obj":42,"cell":-1,"kind":4}}]}`},
+		{"switch word", check.FrontierItem{Switches: []check.SwitchRec{{Decision: 3, Choice: 1}}, Budget: 2, MinIndex: 4},
+			`{"switches":[{"d":3,"c":1}],"budget":2,"min_index":4}`},
+		{"seed", check.FrontierItem{Seed: 120}, `{"seed":120}`},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			b, err := json.Marshal(row.item)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(b) != row.json {
+				t.Fatalf("encoded %s, want %s", b, row.json)
+			}
+			var back check.FrontierItem
+			if err := json.Unmarshal([]byte(row.json), &back); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(back, row.item) {
+				t.Fatalf("decoded %+v, want %+v", back, row.item)
+			}
+		})
+	}
+}
+
 // TestFrontierCompleteRunExportsNothing: a run that finishes leaves no
 // frontier.
 func TestFrontierCompleteRunExportsNothing(t *testing.T) {
@@ -163,18 +294,34 @@ func TestFrontierCompleteRunExportsNothing(t *testing.T) {
 	}
 }
 
-// TestFrontierSeedWrongExplorer: feeding a budget frontier to
-// ExploreAll is a programming error and panics loudly instead of
-// silently misreading the items.
+// TestFrontierSeedWrongExplorer: feeding one explorer's frontier to
+// another is a programming error and panics loudly instead of silently
+// misreading the items.
 func TestFrontierSeedWrongExplorer(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on explorer mismatch")
-		}
-	}()
-	check.ExploreAll(twoProcBuilder(1, 1), check.Options{
-		SeedFrontier: &check.Frontier{Explorer: "budget"},
-	})
+	for _, row := range []struct {
+		name string
+		run  func(*check.Frontier)
+	}{
+		{"budget to ExploreAll", func(f *check.Frontier) {
+			check.ExploreAll(twoProcBuilder(1, 1), check.Options{SeedFrontier: f})
+		}},
+		{"budget to reduced ExploreAll", func(f *check.Frontier) {
+			check.ExploreAll(twoProcBuilder(1, 1), check.Options{SeedFrontier: f, Reduction: check.ReductionFull})
+		}},
+		{"all to Fuzz", func(f *check.Frontier) {
+			f.Explorer = "all"
+			check.Fuzz(twoProcBuilder(1, 1), 3, check.Options{SeedFrontier: f})
+		}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("expected panic on explorer mismatch")
+				}
+			}()
+			row.run(&check.Frontier{Explorer: "budget"})
+		})
+	}
 }
 
 // TestRunDeadlineSkipsStuckRuns: under an immediately-expired deadline

@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/sched"
 	"repro/internal/sim"
 )
 
@@ -92,7 +91,7 @@ func newCollector(opts Options) *collector {
 		opts:     opts,
 		ctx:      ctx,
 		maxSched: int64(opts.maxSchedules()),
-		maxViol:  opts.maxViolations(),
+		maxViol:  opts.ViolationCap(),
 		memSoft:  opts.MemSoftLimit,
 		//repro:allow walltime start feeds only Result.Elapsed and progress reporting, never replayed output
 		start:     time.Now(),
@@ -145,17 +144,29 @@ func (c *collector) release() {
 	c.claimed.Add(-1)
 }
 
-// reductionStats assembles the ReductionStats for a finished reduced
-// exploration (cache may be nil for sleep-set-only mode).
-func (c *collector) reductionStats(mode Reduction, cache *fpCache) *ReductionStats {
+// fingerprintCache creates the exploration's fingerprint cache when
+// Options.Reduction prunes by fingerprint, and returns nil otherwise.
+// The degradation ladder may shed it.
+func (c *collector) fingerprintCache() *fpCache {
+	if !c.opts.Reduction.fingerprints() {
+		return nil
+	}
+	c.cache = newFPCache(c.opts.reductionCache())
+	c.cache.noLock = c.opts.parallelism() == 1
+	return c.cache
+}
+
+// reductionStats assembles the ReductionStats of a finished reduced
+// exploration (the cache is nil in sleep-set-only mode).
+func (c *collector) reductionStats() *ReductionStats {
 	rs := &ReductionStats{
-		Mode:                  mode.String(),
+		Mode:                  c.opts.Reduction.String(),
 		SleepDeadlockRuns:     int(c.redSleepPruned.Load()),
 		SleepSkippedBranches:  c.redSleepSkipped.Load(),
 		FingerprintPrunedRuns: int(c.redFPPruned.Load()),
 	}
-	if cache != nil {
-		rs.CacheHits, rs.CacheEvictions, rs.CacheEntries = cache.stats()
+	if c.cache != nil {
+		rs.CacheHits, rs.CacheEvictions, rs.CacheEntries = c.cache.stats()
 	}
 	return rs
 }
@@ -270,7 +281,10 @@ func protectedRun(describe func() string, f func() error) (verr error, panicked 
 	return f(), false
 }
 
-func (c *collector) result() *Result {
+// result assembles the Result of a finished exploration by explorer
+// ("all", "budget" or "fuzz"; budget is ExploreBudget's root budget),
+// with the exported frontier when one is left.
+func (c *collector) result(explorer string, budget int) *Result {
 	res := &Result{
 		Schedules:       int(c.counted.Load()),
 		ViolationsTotal: int(c.violTotal.Load()),
@@ -283,6 +297,13 @@ func (c *collector) result() *Result {
 	}
 	c.mu.Lock()
 	res.Degradations = c.degradations
+	if len(c.fronts) > 0 {
+		sort.Slice(c.fronts, func(i, j int) bool { return keyLess(c.fronts[i].key, c.fronts[j].key) })
+		res.Frontier = &Frontier{Explorer: explorer, Budget: budget, Schedules: res.Schedules}
+		for _, kf := range c.fronts {
+			res.Frontier.Items = append(res.Frontier.Items, kf.item)
+		}
+	}
 	if c.opts.Measure {
 		m := c.measure
 		if m == nil {
@@ -421,461 +442,133 @@ func (c *collector) closeRunners() {
 	}
 }
 
-// prefixItem identifies one plain-ExploreAll subtree: the schedule at
-// its root is prefix followed by implicit zeros.
-type prefixItem struct {
-	prefix []int
+// strategy is what one explorer adds to the driver. A strategy belongs
+// to one worker and owns that worker's chooser, so the driver runs any
+// explorer's work items without knowing which explorer it serves. The
+// tree strategies walk a schedule tree on the explore engine: prefix
+// (plain ExploreAll, sched.Script), switch word (ExploreBudget,
+// sched.BudgetedSwitch) and sleep set (reduced ExploreAll,
+// sched.Reduced). Fuzz runs the seed strategy.
+type strategy[T any] interface {
+	// reset points the chooser at item's schedule and returns it, ready
+	// for one run attempt.
+	reset(item *T) sim.Chooser
+	// aliased reports whether the run just made replayed a schedule other
+	// than item's. Only a builder that is not a deterministic function of
+	// the decision sequence can make a replay clamp or fall short this
+	// way; the run is skipped rather than counted twice, and the aliased
+	// subtree is not entered.
+	aliased(item *T) bool
+	// pruned returns the ReductionStats tally of a run that a reduction
+	// cut short as a covered partial replay, or nil for a whole run.
+	pruned() *atomic.Int64
+	// key is item's canonical schedule key, which orders violations and
+	// frontier items.
+	key(item *T) schedKey
+	// describe names item's schedule in violation text.
+	describe(item *T) string
+	// decisions is the canonical decision vector of the run just made, or
+	// nil when it was not captured.
+	decisions(item *T) []int
+	// children pushes the subtrees below the run just made in descending
+	// canonical order: pops come LIFO off the bottom of the frontier, so
+	// the smallest subtree is explored first and one worker reproduces
+	// the sequential enumeration order exactly.
+	children(item *T, push func(*T))
+	// frontier is item in serializable form (Options.ExportFrontier).
+	frontier(item *T) FrontierItem
 }
 
-// ExploreAll exhaustively enumerates the full schedule tree (every
-// choice at every decision point) up to opts.MaxSchedules schedules,
-// fanning disjoint decision-vector subtrees out over
-// opts.Parallelism workers.
-func ExploreAll(build Builder, opts Options) *Result {
-	if opts.Reduction != ReductionNone {
-		return exploreAllReduced(build, opts)
-	}
-	checkSeed(opts.SeedFrontier, "all")
-	c := newCollector(opts)
-	var export func(*prefixItem)
-	if opts.ExportFrontier {
-		export = c.exportAll
-	}
-	explore(c, seedItemsAll(opts.SeedFrontier), opts.parallelism(), export,
-		func(int) func(*prefixItem, func(*prefixItem)) {
-			w := &allWorker{c: c, r: c.addRunner(build), script: &sched.Script{},
-				dog: newWatchdog(opts), export: export}
-			return w.process
-		})
-	res := c.result()
-	if opts.ExportFrontier {
-		if f := c.frontierResult("all", 0); !f.Empty() {
-			res.Frontier = f
-		}
-	}
-	return res
+// driver runs one worker's work items; every explorer makes its runs
+// here.
+type driver[T any] struct {
+	c   *collector
+	r   *runner
+	dog *watchdog
+	s   strategy[T]
+	acc *measureAcc // Options.Measure accumulator (Fuzz only), else nil
 }
 
-// allWorker is one plain-ExploreAll worker's pooled state: the system
-// runner, the replay script, and a scratch decision buffer, all reused
-// across every schedule the worker executes.
-type allWorker struct {
-	c      *collector
-	r      *runner
-	script *sched.Script
-	dog    *watchdog
-	export func(*prefixItem)
-	taken  []int
+func newDriver[T any](c *collector, build Builder, s strategy[T]) *driver[T] {
+	return &driver[T]{c: c, r: c.addRunner(build), dog: newWatchdog(c.opts), s: s}
 }
 
-// process executes the schedule at the root of the subtree identified
-// by item.prefix (prefix followed by implicit zeros) and pushes the
-// subtree's immediate sub-subtrees: every single-point deviation at or
-// after len(prefix). Together with this run those exactly cover the
-// subtree, so each schedule is executed once.
-func (w *allWorker) process(item *prefixItem, push func(*prefixItem)) {
-	c := w.c
-	if !c.claim() {
-		// The subtree was never entered; with ExportFrontier it moves to
-		// the frontier instead of being dropped.
-		if w.export != nil {
-			w.export(item)
-		}
+// process claims a MaxSchedules slot for item and runs it. An item whose
+// claim fails was never entered, so it goes to the frontier.
+func (d *driver[T]) process(item *T, push func(*T)) {
+	if !d.c.claim() {
+		d.export(item)
 		return
 	}
-	prefix := item.prefix
-	script := w.script
-	describe := func() string { return fmt.Sprintf("decisions=%v", prefix) }
+	d.run(item, push)
+}
+
+// export records an item that was never run in the frontier when
+// Options.ExportFrontier is set, and drops it otherwise.
+func (d *driver[T]) export(item *T) {
+	if d.c.opts.ExportFrontier {
+		d.c.exportItem(d.s.key(item), d.s.frontier(item))
+	}
+}
+
+// run executes a claimed item's schedule and pushes its children. A run
+// that times out is retried once. No children are pushed below a panic,
+// since the run's fan-out record is then unreliable (the violation
+// records the abandoned schedule), nor after a stop with no frontier to
+// take them.
+func (d *driver[T]) run(item *T, push func(*T)) {
+	c, s := d.c, d.s
+	describe := func() string { return s.describe(item) }
 	var verr error
 	var panicked bool
 	for attempt := 0; ; attempt++ {
-		script.Reset(prefix)
-		ch := w.dog.arm(script)
+		ch := d.dog.arm(s.reset(item))
 		verr, panicked = protectedRun(describe, func() error {
-			sys, verify, runErr := w.r.run(ch)
-			if w.dog.fired() {
-				return nil // timed out; handled below
+			sys, verify, runErr := d.r.run(ch)
+			if d.dog.fired() || s.pruned() != nil || s.aliased(item) {
+				return nil // not an outcome; handled below
 			}
-			if script.Clamped || len(script.Fanouts) < len(prefix) {
-				return nil // aliased; detected below from the script state
+			out := c.outcome(sys, verify, runErr)
+			if d.acc != nil {
+				d.acc.observe(sys)
 			}
-			return c.outcome(sys, verify, runErr)
+			return out
 		})
-		if !panicked && w.dog.fired() && attempt == 0 {
-			continue // retry a timed-out run once
+		if panicked || !d.dog.fired() || attempt > 0 {
+			break
 		}
-		break
 	}
-	if panicked {
-		w.r.invalidate()
-	}
-	if !panicked && w.dog.fired() {
-		// Timed out twice: skip the schedule (and its subtree) rather
-		// than hang; the run still occupies its MaxSchedules slot.
+	switch {
+	case panicked:
+		d.r.invalidate()
+	case d.dog.fired():
+		// Timed out twice: skip the schedule and its subtree rather than
+		// hang; the run still occupies its MaxSchedules slot.
 		c.timedOut.Add(1)
 		c.count()
 		return
-	}
-	if !panicked && (script.Clamped || len(script.Fanouts) < len(prefix)) {
-		// The replay aliased a different decision vector (possible only
-		// for builders that are not deterministic functions of the
-		// decision sequence): skip it rather than double-count, and do
-		// not descend into the aliased subtree.
+	case s.aliased(item):
 		c.unclaim()
 		return
 	}
 	if verr != nil {
-		key := make(schedKey, len(prefix))
-		for i, d := range prefix {
-			key[i] = int64(d)
-		}
 		var dec []int
 		if !panicked {
-			dec = canonDecisions(prefix)
+			dec = s.decisions(item)
 		}
-		c.violation(key, describe(), verr, dec)
+		c.violation(s.key(item), describe(), verr, dec)
 	}
-	c.count()
-	// After a panic the script's fan-out record is unreliable, so the
-	// subtree below this schedule is not descended into; the violation
-	// records the abandoned prefix. When exporting a frontier, a stop
-	// must not drop this run's children: they are pushed anyway, and the
-	// worker's drain pass moves them to the frontier.
-	if panicked || (c.stopped() && w.export == nil) {
-		return
-	}
-	taken := append(w.taken[:0], prefix...)
-	for len(taken) < len(script.Fanouts) {
-		taken = append(taken, 0)
-	}
-	w.taken = taken
-	// Children in descending canonical order: pops come LIFO off the
-	// bottom of the frontier, so the lexicographically smallest subtree
-	// is popped first and a single worker reproduces the sequential
-	// enumeration order exactly. Children are slab-allocated — exact
-	// capacities sized by a counting pass, so the fill appends never
-	// reallocate, item pointers and prefix subslices stay stable, and
-	// the whole frontier of one schedule costs two heap objects. The
-	// three-index subslicing keeps each child's prefix detached from
-	// its neighbors' (appends force a copy).
-	children, prefixInts := 0, 0
-	for i := len(prefix); i < len(taken); i++ {
-		if n := script.Fanouts[i] - 1; n > 0 {
-			children += n
-			prefixInts += n * (i + 1)
-		}
-	}
-	if children == 0 {
-		return
-	}
-	items := make([]prefixItem, 0, children)
-	prefixSlab := make([]int, 0, prefixInts)
-	for i := len(prefix); i < len(taken); i++ {
-		for choice := script.Fanouts[i] - 1; choice >= 1; choice-- {
-			ps := len(prefixSlab)
-			prefixSlab = append(prefixSlab, taken[:i]...)
-			prefixSlab = append(prefixSlab, choice)
-			items = append(items, prefixItem{prefix: prefixSlab[ps:len(prefixSlab):len(prefixSlab)]})
-			push(&items[len(items)-1])
-		}
-	}
-}
-
-// switchPoint is one directed deviation of an ExploreBudget schedule.
-type switchPoint struct {
-	d      int64
-	choice int
-}
-
-// budgetItem identifies one ExploreBudget subtree: the deviations
-// applied so far (sorted by decision index), the remaining deviation
-// budget, and the first decision index at which further deviations may
-// be placed (keeping every ≤budget-deviation schedule covered exactly
-// once).
-type budgetItem struct {
-	switches []switchPoint
-	budget   int
-	minIndex int64
-}
-
-// ExploreBudget exhaustively enumerates schedules that deviate from the
-// default continue-current-process schedule in at most budget decision
-// points, fanning disjoint deviation subtrees out over
-// opts.Parallelism workers. Deviation points are discovered lazily and
-// placed in increasing order, so every ≤budget-deviation schedule is
-// covered exactly once.
-func ExploreBudget(build Builder, budget int, opts Options) *Result {
-	checkSeed(opts.SeedFrontier, "budget")
-	c := newCollector(opts)
-	var cache *fpCache
-	if opts.Reduction.fingerprints() {
-		cache = newFPCache(opts.reductionCache())
-		cache.noLock = opts.parallelism() == 1
-		c.cache = cache
-	}
-	var export func(*budgetItem)
-	if opts.ExportFrontier && opts.Reduction == ReductionNone {
-		export = c.exportBudget
-	}
-	explore(c, seedItemsBudget(opts.SeedFrontier, budget), opts.parallelism(), export,
-		func(worker int) func(*budgetItem, func(*budgetItem)) {
-			w := &budgetWorker{c: c, r: c.addRunner(build), ch: &sched.BudgetedSwitch{},
-				dog: newWatchdog(opts), export: export}
-			if cache != nil {
-				// The chooser consults the cache only past the last directed
-				// switch, where the run is a pure default continuation from a
-				// state the fingerprint fully identifies (plus the chooser's
-				// current-process steering, folded in via PruneInfo.Extra).
-				w.ch.Prune = cache.pruneFunc(worker)
-			}
-			return w.process
-		})
-	res := c.result()
-	if opts.Reduction != ReductionNone {
-		res.Reduction = c.reductionStats(opts.Reduction, cache)
-	}
-	if export != nil {
-		if f := c.frontierResult("budget", budget); !f.Empty() {
-			res.Frontier = f
-		}
-	}
-	return res
-}
-
-// budgetWorker is one ExploreBudget worker's pooled state.
-type budgetWorker struct {
-	c      *collector
-	r      *runner
-	ch     *sched.BudgetedSwitch
-	dog    *watchdog
-	export func(*budgetItem)
-}
-
-func (w *budgetWorker) process(item *budgetItem, push func(*budgetItem)) {
-	c := w.c
-	if !c.claim() {
-		if w.export != nil {
-			w.export(item)
-		}
-		return
-	}
-	ch := w.ch
-	describe := func() string { return fmt.Sprintf("switches=%v", ch.SwitchAt) }
-	aliased := func() bool {
-		return ch.Clamped || (len(item.switches) > 0 && item.switches[len(item.switches)-1].d >= ch.Decision)
-	}
-	var verr error
-	var panicked bool
-	for attempt := 0; ; attempt++ {
-		ch.Reset(item.budget)
-		for _, sw := range item.switches {
-			ch.SwitchAt[sw.d] = sw.choice
-		}
-		wch := w.dog.arm(ch)
-		verr, panicked = protectedRun(describe, func() error {
-			sys, verify, runErr := w.r.run(wch)
-			if w.dog.fired() {
-				return nil // timed out; handled below
-			}
-			if errors.Is(runErr, sim.ErrPickAbort) {
-				return nil // pruned, not an outcome
-			}
-			if aliased() {
-				return nil
-			}
-			return c.outcome(sys, verify, runErr)
-		})
-		if !panicked && w.dog.fired() && attempt == 0 {
-			continue // retry a timed-out run once
-		}
-		break
-	}
-	if panicked {
-		w.r.invalidate()
-	}
-	if !panicked && w.dog.fired() {
-		c.timedOut.Add(1)
-		c.count()
-		return
-	}
-	if !panicked && aliased() {
-		// A clamped or never-reached switch means the replay aliased a
-		// schedule with a different switch word (non-reentrant builder);
-		// skip it rather than double-count (see allWorker.process). A
-		// pruned run cannot look aliased: pruning fires only past the
-		// last directed switch, so every switch was reached.
-		c.unclaim()
-		return
-	}
-	if verr != nil {
-		key := make(schedKey, 0, 2*len(item.switches))
-		for _, sw := range item.switches {
-			key = append(key, sw.d, int64(sw.choice))
-		}
-		var dec []int
-		if !panicked {
-			dec = canonDecisions(ch.Taken)
-		}
-		c.violation(key, describe(), verr, dec)
-	}
-	if ch.Pruned && !panicked {
-		// A pruned run is a covered partial replay, not a schedule (see
-		// redWorker.process); its completed decisions still seed
-		// children below, and deviations at or after the prune point are
-		// covered by the cached visitor.
+	if tally := s.pruned(); tally != nil && !panicked {
+		// A pruned run is a covered partial replay, not a schedule: it
+		// frees its slot, and the decisions it completed still seed
+		// children.
 		c.release()
-		c.redFPPruned.Add(1)
+		tally.Add(1)
 	} else {
 		c.count()
 	}
-	// See allWorker.process: no descent below a panicked schedule; a
-	// stop with ExportFrontier still pushes children so the drain pass
-	// moves them to the frontier.
-	if panicked || item.budget == 0 || (c.stopped() && w.export == nil) {
+	if panicked || (c.stopped() && !c.opts.ExportFrontier) {
 		return
 	}
-	taken := ch.Taken
-	// Children in descending canonical order (see allWorker.process).
-	// The loop runs over decisions with a recorded choice — for a pruned
-	// run that excludes the abort decision, whose deviations the cached
-	// visitor covers.
-	for d := int64(len(taken)) - 1; d >= item.minIndex; d-- {
-		for choice := ch.Fanouts[d] - 1; choice >= 0; choice-- {
-			if choice == taken[d] {
-				continue
-			}
-			push(&budgetItem{
-				switches: append(item.switches[:len(item.switches):len(item.switches)], switchPoint{d: d, choice: choice}),
-				budget:   item.budget - 1,
-				minIndex: d + 1,
-			})
-		}
-	}
-}
-
-// Fuzz runs nSeeds seeded pseudo-random schedules, sharding the seed
-// range over opts.Parallelism workers. Options.SchedModel swaps the
-// schedule source for a registered scheduler model; Options.Measure
-// additionally accumulates the empirical progress-bound report into
-// Result.Progress.
-func Fuzz(build Builder, nSeeds int, opts Options) *Result {
-	if opts.SchedModel != nil {
-		if err := opts.SchedModel.Validate(); err != nil {
-			panic(err) // builder misuse: specs from user input are validated upstream
-		}
-	}
-	c := newCollector(opts)
-	n := int64(nSeeds)
-	if n > c.maxSched {
-		n = c.maxSched
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < opts.parallelism(); w++ {
-		wg.Add(1)
-		//repro:allow goroutine sanctioned fuzz worker pool; seeds partition by atomic counter and results merge in canonical seed order
-		go func() {
-			defer wg.Done()
-			r := c.addRunner(build)
-			dog := newWatchdog(opts)
-			var rec *sched.Record
-			if c.opts.needDecisions() {
-				rec = sched.NewRecord(nil)
-			}
-			var acc *measureAcc
-			if c.opts.Measure {
-				acc = newMeasureAcc()
-				defer func() { c.mergeMeasure(acc) }()
-			}
-			// Schedule source: the legacy seeded Random (reseeded in
-			// place per run), a Reseedable single-node model (reseeded in
-			// place with the derived run seed), or a full per-run model
-			// rebuild for wrapper and non-reseedable specs.
-			spec := opts.SchedModel
-			var rng *sched.Random
-			var fast sched.Reseedable
-			if spec == nil {
-				rng = sched.NewRandom(0)
-			} else if spec.Inner == nil {
-				if base, err := sched.NewFromSpec(spec); err == nil {
-					fast, _ = base.(sched.Reseedable)
-				}
-			}
-			chooserFor := func(seed int64) sim.Chooser {
-				switch {
-				case rng != nil:
-					rng.Reseed(seed)
-					return rng
-				case fast != nil:
-					fast.Reseed(sched.RunSeed(spec.Seed, seed))
-					return fast
-				default:
-					ch, err := sched.NewFromSpec(spec.WithRunSeed(seed))
-					if err != nil {
-						panic(err) // unreachable: spec validated at entry
-					}
-					return ch
-				}
-			}
-			for {
-				if c.stopped() {
-					return
-				}
-				seed := next.Add(1) - 1
-				if seed >= n {
-					return
-				}
-				var verr error
-				var panicked bool
-				describe := func() string { return fmt.Sprintf("seed=%d", seed) }
-				for attempt := 0; ; attempt++ {
-					var ch sim.Chooser = chooserFor(seed)
-					if rec != nil {
-						rec.Reset(ch)
-						ch = rec
-					}
-					ch = dog.arm(ch)
-					verr, panicked = protectedRun(describe, func() error {
-						sys, verify, runErr := r.run(ch)
-						if dog.fired() {
-							return nil // timed out; handled below
-						}
-						out := c.outcome(sys, verify, runErr)
-						if acc != nil {
-							acc.observe(sys)
-						}
-						return out
-					})
-					if !panicked && dog.fired() && attempt == 0 {
-						continue // retry a timed-out run once
-					}
-					break
-				}
-				if panicked {
-					r.invalidate()
-				}
-				if !panicked && dog.fired() {
-					c.timedOut.Add(1)
-					c.count()
-					continue
-				}
-				if verr != nil {
-					var dec []int
-					if rec != nil && !panicked {
-						dec = canonDecisions(rec.Taken)
-					}
-					c.violation(schedKey{seed}, describe(), verr, dec)
-				}
-				c.count()
-			}
-		}()
-	}
-	wg.Wait()
-	c.closeRunners()
-	// The seed range was cut by MaxSchedules; as in the tree explorers,
-	// a StopAtFirst hit reports the violation rather than truncation.
-	if int64(nSeeds) > c.maxSched && !(opts.StopAtFirst && c.violTotal.Load() > 0) {
-		c.truncated.Store(true)
-	}
-	return c.result()
+	s.children(item, push)
 }

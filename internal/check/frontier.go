@@ -3,7 +3,6 @@ package check
 import (
 	"fmt"
 	"runtime"
-	"sort"
 	"time"
 
 	"repro/internal/sched"
@@ -19,14 +18,21 @@ type SwitchRec struct {
 	Choice int `json:"c"`
 }
 
-// FrontierItem is one unexplored subtree of an interrupted exploration,
-// in serializable form. Exactly one of the two shapes is populated:
-// Prefix for ExploreAll subtrees, Switches/Budget/MinIndex for
-// ExploreBudget subtrees.
+// FrontierItem is one unexplored part of an interrupted exploration,
+// in serializable form. Its shape follows the explorer: Prefix (and
+// Sleep, under sleep-set reduction) for ExploreAll subtrees,
+// Switches/Budget/MinIndex for ExploreBudget subtrees, and Seed for the
+// rest of a Fuzz seed range.
 type FrontierItem struct {
 	// Prefix is the ExploreAll decision-vector prefix rooting the
-	// subtree (the root schedule is prefix followed by implicit zeros).
+	// subtree.
 	Prefix []int `json:"prefix,omitempty"`
+	// Sleep is the sleep set in effect right after the prefix's branch
+	// decision (reduced ExploreAll with sleep sets). Footprints are
+	// stable hashes of object names, so the set means the same thing to
+	// a later process. sched.SleepEntry and mem.Footprint carry the JSON
+	// tags, pinned by TestFrontierItemEncoding.
+	Sleep []sched.SleepEntry `json:"sleep,omitempty"`
 	// Switches are the ExploreBudget deviations applied so far.
 	Switches []SwitchRec `json:"switches,omitempty"`
 	// Budget is the remaining deviation budget of the subtree.
@@ -34,26 +40,30 @@ type FrontierItem struct {
 	// MinIndex is the first decision index at which further deviations
 	// may be placed.
 	MinIndex int64 `json:"min_index,omitempty"`
+	// Seed is the first Fuzz seed not yet run: the rest of the range,
+	// up to the nSeeds Fuzz is called with, is unexplored.
+	Seed int64 `json:"seed,omitempty"`
 }
 
 // Frontier is the checkpointable remainder of an interrupted
-// exploration: a set of disjoint unexplored subtrees whose union,
-// together with the schedules already executed, exactly covers the full
-// schedule space. A Frontier exported by an interrupted run (see
-// Options.ExportFrontier) can be fed back via Options.SeedFrontier to
-// continue exactly where the exploration left off: the resumed leg
-// executes precisely the schedules the interrupted leg did not, so
+// exploration: a set of disjoint unexplored subtrees (or the rest of a
+// seed range) that, together with the schedules already executed,
+// covers the whole exploration. A Frontier exported by an interrupted
+// run (see Options.ExportFrontier) can be fed back via
+// Options.SeedFrontier to continue where the exploration left off: the
+// resumed leg executes the schedules the interrupted leg did not, so
 // summing Schedules and merging Violations across legs reproduces the
 // uninterrupted exploration.
 //
-// Frontier export/seed is supported for the plain (ReductionNone)
-// ExploreAll and ExploreBudget explorers: reduced explorations carry
-// cross-run pruning state (sleep sets, the fingerprint cache) that a
-// frontier snapshot cannot soundly capture, so the reduced paths ignore
-// both options.
+// Every explorer exports and resumes. Plain explorations, sleep-set
+// reduction (each item carries its sleep set) and Fuzz resume exactly.
+// The fingerprint cache is not carried: a resumed leg starts with an
+// empty cache, which only forgoes pruning (DESIGN.md §10), so the verdict
+// is the same and the legs may run more schedules than one uninterrupted
+// exploration.
 type Frontier struct {
 	// Explorer identifies the explorer the frontier belongs to:
-	// "all" (ExploreAll) or "budget" (ExploreBudget).
+	// "all" (ExploreAll), "budget" (ExploreBudget) or "fuzz" (Fuzz).
 	Explorer string `json:"explorer"`
 	// Budget echoes the ExploreBudget root budget (diagnostic only; each
 	// item carries its own remaining budget).
@@ -78,43 +88,10 @@ type keyedFrontier struct {
 	item FrontierItem
 }
 
-// exportAll records one unexplored ExploreAll subtree.
-func (c *collector) exportAll(item *prefixItem) {
-	prefix := append([]int(nil), item.prefix...)
-	key := make(schedKey, len(prefix))
-	for i, d := range prefix {
-		key[i] = int64(d)
-	}
-	c.exportItem(keyedFrontier{key: key, item: FrontierItem{Prefix: prefix}})
-}
-
-// exportBudget records one unexplored ExploreBudget subtree.
-func (c *collector) exportBudget(item *budgetItem) {
-	fi := FrontierItem{Budget: item.budget, MinIndex: item.minIndex}
-	key := make(schedKey, 0, 2*len(item.switches))
-	for _, sw := range item.switches {
-		fi.Switches = append(fi.Switches, SwitchRec{Decision: sw.d, Choice: sw.choice})
-		key = append(key, sw.d, int64(sw.choice))
-	}
-	c.exportItem(keyedFrontier{key: key, item: fi})
-}
-
-func (c *collector) exportItem(kf keyedFrontier) {
+func (c *collector) exportItem(key schedKey, item FrontierItem) {
 	c.mu.Lock()
-	c.fronts = append(c.fronts, kf)
+	c.fronts = append(c.fronts, keyedFrontier{key: key, item: item})
 	c.mu.Unlock()
-}
-
-// frontierResult assembles the exported frontier in canonical order.
-func (c *collector) frontierResult(explorer string, budget int) *Frontier {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	sort.Slice(c.fronts, func(i, j int) bool { return keyLess(c.fronts[i].key, c.fronts[j].key) })
-	f := &Frontier{Explorer: explorer, Budget: budget, Schedules: int(c.counted.Load())}
-	for _, kf := range c.fronts {
-		f.Items = append(f.Items, kf.item)
-	}
-	return f
 }
 
 // checkSeed validates that a seeded frontier was exported by the
@@ -134,7 +111,7 @@ func seedItemsAll(f *Frontier) []*prefixItem {
 	}
 	items := make([]*prefixItem, len(f.Items))
 	for i, fi := range f.Items {
-		items[i] = &prefixItem{prefix: fi.Prefix}
+		items[i] = &prefixItem{prefix: fi.Prefix, sleep: fi.Sleep}
 	}
 	return items
 }

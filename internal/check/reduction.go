@@ -1,10 +1,10 @@
 package check
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/mem"
 	"repro/internal/sched"
@@ -381,126 +381,40 @@ func (c *fpCache) pruneFunc(w int) sched.PruneFunc {
 	}
 }
 
-// redItem identifies one reduced-ExploreAll subtree: the decision prefix
-// and the sleep set in effect immediately after its branch decision.
-type redItem struct {
-	prefix []int
-	sleep  []sched.SleepEntry
+// sleepStrategy is reduced ExploreAll's strategy: it walks the plain
+// explorer's decision-prefix tree with sched.Reduced, which continues a
+// prefix with default decisions (the first awake candidate), skips
+// asleep branches and aborts runs the fingerprint cache covers.
+type sleepStrategy struct {
+	prefixShape
+	c  *collector
+	ch sched.Reduced
 }
 
-// exploreAllReduced is ExploreAll with reductions active. The schedule
-// tree is partitioned into decision-prefix subtrees exactly as in the
-// plain explorer; reductions only remove work: asleep branches are never
-// spawned, all-asleep and revisited-state runs abort early, and an
-// aborted run still seeds its children for the decisions it completed.
-func exploreAllReduced(build Builder, opts Options) *Result {
-	c := newCollector(opts)
-	var cache *fpCache
-	if opts.Reduction.fingerprints() {
-		cache = newFPCache(opts.reductionCache())
-		cache.noLock = opts.parallelism() == 1
-		c.cache = cache
-	}
-	explore(c, []*redItem{{}}, opts.parallelism(), nil, func(worker int) func(*redItem, func(*redItem)) {
-		w := &redWorker{
-			c:    c,
-			r:    c.addRunner(build),
-			ch:   &sched.Reduced{SleepSets: opts.Reduction.sleepSets(), Budget: unboundedBudget},
-			mode: opts.Reduction,
-			dog:  newWatchdog(opts),
-		}
-		if cache != nil {
-			w.ch.Prune = cache.pruneFunc(worker)
-		}
-		return w.process
-	})
-	res := c.result()
-	res.Reduction = c.reductionStats(opts.Reduction, cache)
-	return res
+func (s *sleepStrategy) reset(it *prefixItem) sim.Chooser {
+	s.ch.Reset(it.prefix, it.sleep)
+	return &s.ch
 }
 
-// redWorker is one reduced-ExploreAll worker's pooled state: the system
-// runner and the reduced chooser (whose snapshot arenas are reused
-// across every schedule the worker executes).
-type redWorker struct {
-	c    *collector
-	r    *runner
-	ch   *sched.Reduced
-	mode Reduction
-	dog  *watchdog
+func (s *sleepStrategy) aliased(it *prefixItem) bool {
+	return s.ch.Clamped || len(s.ch.Fanouts) < len(it.prefix)
 }
 
-func (w *redWorker) process(item *redItem, push func(*redItem)) {
-	c := w.c
-	if !c.claim() {
-		return
+func (s *sleepStrategy) pruned() *atomic.Int64 {
+	switch {
+	case s.ch.Pruned:
+		return &s.c.redFPPruned
+	case s.ch.SleepDeadlock:
+		return &s.c.redSleepPruned
 	}
-	ch := w.ch
-	describe := func() string { return fmt.Sprintf("decisions=%v", item.prefix) }
-	var verr error
-	var panicked bool
-	for attempt := 0; ; attempt++ {
-		ch.Reset(item.prefix, item.sleep)
-		wch := w.dog.arm(ch)
-		verr, panicked = protectedRun(describe, func() error {
-			sys, verify, runErr := w.r.run(wch)
-			if w.dog.fired() {
-				return nil // timed out; handled below
-			}
-			if errors.Is(runErr, sim.ErrPickAbort) {
-				return nil // pruned, not an outcome
-			}
-			if ch.Clamped || len(ch.Fanouts) < len(item.prefix) {
-				return nil // aliased; detected below from the chooser state
-			}
-			return c.outcome(sys, verify, runErr)
-		})
-		if !panicked && w.dog.fired() && attempt == 0 {
-			continue // retry a timed-out run once
-		}
-		break
-	}
-	if panicked {
-		w.r.invalidate()
-	}
-	if !panicked && w.dog.fired() {
-		c.timedOut.Add(1)
-		c.count()
-		return
-	}
-	pruned := ch.Pruned || ch.SleepDeadlock
-	if !panicked && (ch.Clamped || len(ch.Fanouts) < len(item.prefix)) {
-		c.unclaim()
-		return
-	}
-	if verr != nil {
-		key := make(schedKey, len(item.prefix))
-		for i, d := range item.prefix {
-			key[i] = int64(d)
-		}
-		var dec []int
-		if !panicked {
-			dec = canonDecisions(ch.Taken)
-		}
-		c.violation(key, describe(), verr, dec)
-	}
-	if pruned && !panicked {
-		// A pruned run is a covered partial replay, not a schedule: free
-		// its MaxSchedules slot, tally it, and still descend into the
-		// children of the decisions it did complete.
-		c.release()
-		if ch.Pruned {
-			c.redFPPruned.Add(1)
-		} else {
-			c.redSleepPruned.Add(1)
-		}
-	} else {
-		c.count()
-	}
-	if c.stopped() || panicked {
-		return
-	}
-	base := len(item.prefix)
+	return nil
+}
+
+func (s *sleepStrategy) decisions(*prefixItem) []int { return canonDecisions(s.ch.Taken) }
+
+func (s *sleepStrategy) children(it *prefixItem, push func(*prefixItem)) {
+	ch, c := &s.ch, s.c
+	base := len(it.prefix)
 	// Children are slab-allocated: one counting pass sizes three exact
 	// backing arrays (items, prefixes, sleep sets), then the fill pass
 	// carves three-index subslices out of them. Exact capacities mean
@@ -516,7 +430,7 @@ func (w *redWorker) process(item *redItem, push func(*redItem)) {
 			}
 			children++
 			prefixInts += i + 1
-			if w.mode.sleepSets() {
+			if ch.SleepSets {
 				sleepEnts += len(snap.Sleep)
 				for m := 0; m < j; m++ {
 					if cm := snap.Cands[m]; !cm.Asleep && cm.FpKnown {
@@ -538,7 +452,7 @@ func (w *redWorker) process(item *redItem, push func(*redItem)) {
 		}
 		return
 	}
-	items := make([]redItem, 0, children)
+	items := make([]prefixItem, 0, children)
 	prefixSlab := make([]int, 0, prefixInts)
 	sleepSlab := make([]sched.SleepEntry, 0, sleepEnts)
 	for i := base; i < len(ch.Taken); i++ {
@@ -555,7 +469,7 @@ func (w *redWorker) process(item *redItem, push func(*redItem)) {
 			prefixSlab = append(prefixSlab, ch.Taken[:i]...)
 			prefixSlab = append(prefixSlab, j)
 			var childSleep []sched.SleepEntry
-			if w.mode.sleepSets() {
+			if ch.SleepSets {
 				// The child wakes after its earlier siblings: it inherits
 				// this decision's live sleep set plus every awake sibling
 				// explored before it (the taken branch and awake branches
@@ -574,7 +488,7 @@ func (w *redWorker) process(item *redItem, push func(*redItem)) {
 				}
 				childSleep = sleepSlab[ss:len(sleepSlab):len(sleepSlab)]
 			}
-			items = append(items, redItem{
+			items = append(items, prefixItem{
 				prefix: prefixSlab[ps:len(prefixSlab):len(prefixSlab)],
 				sleep:  childSleep,
 			})

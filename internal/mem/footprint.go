@@ -36,16 +36,18 @@ func (k AccessKind) String() string {
 // Footprint is the canonical description of one atomic statement's
 // shared-memory access: which object it touches (by stable id), the
 // cell index within a named array (-1 for scalars), and how. Local
-// statements carry the zero object id and AccessLocal.
+// statements carry the zero object id and AccessLocal. Exported
+// frontiers persist footprints (a reduced item's sleep set), so the
+// JSON tags and the AccessKind values are a file format.
 type Footprint struct {
 	// Obj is the object's canonical id (a stable hash of its name),
 	// identical across runs of the same workload. 0 for local statements.
-	Obj uint64
+	Obj uint64 `json:"obj"`
 	// Cell is the index within a named array, -1 for scalar objects and
 	// local statements.
-	Cell int
+	Cell int `json:"cell"`
 	// Kind is the access kind.
-	Kind AccessKind
+	Kind AccessKind `json:"kind"`
 }
 
 // Commutes reports whether two statements with these footprints can be

@@ -11,16 +11,18 @@ import (
 // While the entry is live, schedules that run the process are
 // permutation-equivalent to schedules the earlier subtree covers, so
 // the explorer neither picks nor branches to it. The entry wakes (is
-// discarded) as soon as any dependent access executes.
+// discarded) as soon as any dependent access executes. Exported
+// frontiers persist entries (check.FrontierItem), so the JSON tags are
+// a file format.
 type SleepEntry struct {
 	// Proc is the sleeping process's id.
-	Proc int
+	Proc int `json:"proc"`
 	// Processor is that process's processor index.
-	Processor int
+	Processor int `json:"processor"`
 	// Fp is the footprint of the process's pending statement at the
 	// moment it was put to sleep; the process does not run while
 	// asleep, so the footprint stays valid.
-	Fp mem.Footprint
+	Fp mem.Footprint `json:"fp"`
 }
 
 // Wakes reports whether executed access a wakes (invalidates) entry e:

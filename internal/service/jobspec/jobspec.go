@@ -282,14 +282,6 @@ func (c *Check) Run(build check.Builder, opts check.Options) *check.Result {
 	}
 }
 
-// Durable reports whether the exploration supports exact frontier
-// checkpoint/resume (check.Options.ExportFrontier): the tree explorers
-// under ReductionNone. Fuzz and reduced explorations run as one
-// uninterruptible unit and restart from scratch after a crash.
-func (c *Check) Durable() bool {
-	return c.Mode != ModeFuzz && c.reduction() == "none"
-}
-
 // defaultCrashSeedSalt derives a crash seed from the base seed when
 // none is given, matching cmd/soak's historical behavior.
 const defaultCrashSeedSalt = 0x5deece66d

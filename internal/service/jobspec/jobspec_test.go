@@ -95,27 +95,6 @@ func TestCheckOptionsMapping(t *testing.T) {
 	}
 }
 
-func TestCheckDurable(t *testing.T) {
-	meta := artifact.Meta{Workload: "unicons", N: 2, V: 1, Quantum: 8}
-	cases := []struct {
-		mode, red string
-		want      bool
-	}{
-		{jobspec.ModeAll, "", true},
-		{jobspec.ModeAll, "none", true},
-		{jobspec.ModeBudget, "", true},
-		{jobspec.ModeFuzz, "", false},
-		{jobspec.ModeAll, "full", false},
-		{jobspec.ModeBudget, "sleepset", false},
-	}
-	for _, c := range cases {
-		spec := &jobspec.Check{Meta: meta, Mode: c.mode, Reduction: c.red}
-		if got := spec.Durable(); got != c.want {
-			t.Errorf("Durable(mode=%s, reduction=%q) = %v, want %v", c.mode, c.red, got, c.want)
-		}
-	}
-}
-
 func TestSoakConfigAndIdentity(t *testing.T) {
 	spec := &jobspec.Soak{Workload: "lockcounter", N: 2, V: 2, Quantum: 4, WaitFreeBound: 60,
 		Runs: 50, Seed: 11, MaxCrashes: 1, KeepGoing: true}

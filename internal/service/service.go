@@ -10,16 +10,16 @@
 // boot.
 //
 // Durability model. Soak jobs ride internal/campaign's WAL +
-// checkpoint machinery unchanged. Check jobs (the tree explorers under
-// ReductionNone) run in legs: each leg explores at most Config
-// .LegSchedules schedules, exports the unexplored frontier, and the
-// cumulative result + frontier are persisted atomically before the
-// next leg starts. A crash therefore loses at most one leg, and the
-// lost leg replays identically on resume because a frontier pins the
-// exact unexplored subtrees (the PR-7 resume-equivalence property:
-// interrupted + resumed legs cover exactly the uninterrupted schedule
-// set). Fuzz and reduced explorations have no frontier; they run as
-// one unit and restart from scratch when interrupted.
+// checkpoint machinery unchanged. Check jobs run in legs, whatever the
+// mode and reduction: each leg explores at most Config.LegSchedules
+// schedules, exports the unexplored frontier, and the cumulative result
+// + frontier are persisted atomically before the next leg starts. A
+// crash therefore loses at most one leg, and the lost leg replays on
+// resume because a frontier pins the unexplored subtrees, or the rest
+// of a fuzz seed range. Plain, sleep-set and fuzz legs cover exactly the
+// uninterrupted schedule set; a fingerprint-pruned leg starts with an
+// empty cache, so it keeps the verdict but may run more schedules
+// (DESIGN.md §10). Measure and lint jobs run as one unit.
 //
 // Scheduling model. The service never grows the engine's worker count:
 // Config.GlobalWorkers is the whole budget, each running job gets
@@ -86,7 +86,7 @@ type Status struct {
 	Workers int `json:"workers,omitempty"`
 	// Resumes counts boots that re-enqueued this job.
 	Resumes int `json:"resumes,omitempty"`
-	// Legs counts persisted exploration legs (durable check jobs).
+	// Legs counts persisted exploration legs (check jobs).
 	Legs int `json:"legs,omitempty"`
 	// Schedules is the cumulative executed-schedule count (check jobs).
 	Schedules int `json:"schedules,omitempty"`
@@ -115,9 +115,11 @@ type ViolationRecord struct {
 	Artifact string `json:"artifact,omitempty"`
 }
 
-// checkProgress is a durable check job's cumulative result, persisted
-// after every leg. Frontier nil + Done means the exploration ran to
-// completion; Frontier non-nil means resume from it.
+// checkProgress is a check job's cumulative result, persisted after
+// every leg. Frontier nil + Done means the exploration ran to
+// completion; Frontier non-nil means resume from it. Violations holds at
+// most the exploration's violation cap (check.Options.ViolationCap)
+// over all legs; ViolationsTotal counts them all.
 type checkProgress struct {
 	Legs            int               `json:"legs"`
 	Schedules       int               `json:"schedules"`
@@ -143,9 +145,9 @@ type Config struct {
 	// QueueDepth bounds the submit queue; a full queue rejects new jobs
 	// (HTTP 503) instead of buffering without bound (0 = 16).
 	QueueDepth int
-	// LegSchedules is the per-leg schedule cap for durable check jobs —
-	// the durability granularity: a crash loses at most this many
-	// schedules of progress (0 = 2000).
+	// LegSchedules is the per-leg schedule cap for check jobs — the
+	// durability granularity: a crash loses at most this many schedules
+	// of progress (0 = 2000).
 	LegSchedules int
 	// Log, if non-nil, receives server-side operational messages.
 	Log func(string)
@@ -659,8 +661,8 @@ func (s *Service) watchCancel(j *job) (context.Context, func()) {
 	return ctx, func() { close(done); cancel() }
 }
 
-// runCheck executes a check job. Durable explorations run in legs (see
-// the package comment); fuzz and reduced explorations run as one unit.
+// runCheck executes a check job as persisted legs (see the package
+// comment).
 func (s *Service) runCheck(j *job, workers int) {
 	spec := j.spec.Check
 	build, err := spec.Builder()
@@ -679,40 +681,8 @@ func (s *Service) runCheck(j *job, workers int) {
 		j.events.append("progress", fmt.Sprintf("%d schedules, %d violations", info.Schedules, info.Violations))
 	}
 	opts.ProgressEvery = 500
+	opts.ExportFrontier = true
 
-	if !spec.Durable() {
-		s.runCheckOneShot(j, build, opts)
-		return
-	}
-	s.runCheckLegs(j, build, opts)
-}
-
-// runCheckOneShot runs a non-durable exploration (fuzz or reduced):
-// interruption discards progress and the job restarts from scratch on
-// resume.
-func (s *Service) runCheckOneShot(j *job, build check.Builder, opts check.Options) {
-	ctx, stop := s.watchCancel(j)
-	defer stop()
-	opts.Context = ctx
-	res := j.spec.Check.Run(build, opts)
-	prog := &checkProgress{}
-	s.foldLeg(j, prog, res)
-	if res.Interrupted {
-		state, detail := s.interruptionState(j)
-		if state == StateInterrupted {
-			// Nothing durable to keep: next boot restarts the job.
-			s.finish(j, StateInterrupted, "interrupted by shutdown; fuzz/reduced jobs restart from scratch", nil)
-			return
-		}
-		s.finish(j, state, detail, nil)
-		return
-	}
-	s.finishCheck(j, prog)
-}
-
-// runCheckLegs runs a durable exploration as persisted legs.
-func (s *Service) runCheckLegs(j *job, build check.Builder, opts check.Options) {
-	spec := j.spec.Check
 	prog := &checkProgress{}
 	if data, err := s.st.ReadJobFile(j.id, "progress.json"); err != nil {
 		s.finish(j, StateError, "read progress", err)
@@ -731,11 +701,21 @@ func (s *Service) runCheckLegs(j *job, build check.Builder, opts check.Options) 
 		j.events.append("leg", fmt.Sprintf("resuming at leg %d: %d schedules done, %d frontier items",
 			prog.Legs, prog.Schedules, frontierLen(prog.Frontier)))
 	}
-	opts.ExportFrontier = true
+	limit := opts.ViolationCap()
 	for {
 		legOpts := opts
 		legOpts.SeedFrontier = prog.Frontier
 		legOpts.MaxSchedules = s.cfg.legSchedules()
+		// The job records at most limit violations over all its legs, so
+		// a leg records only the room left. Once the record is full a leg
+		// just counts: its one recorded violation is dropped by foldLeg,
+		// and it skips forensics.
+		if room := limit - len(prog.Violations); room > 0 {
+			legOpts.MaxViolations = room
+		} else {
+			legOpts.MaxViolations = 1
+			legOpts.ArtifactMeta, legOpts.Minimize, legOpts.CollectDecisions = nil, false, false
+		}
 		if spec.MaxSchedules > 0 {
 			remaining := spec.MaxSchedules - prog.Schedules
 			if remaining <= 0 {
@@ -753,7 +733,7 @@ func (s *Service) runCheckLegs(j *job, build check.Builder, opts check.Options) 
 		legOpts.Context = ctx
 		res := spec.Run(build, legOpts)
 		stopWatch()
-		s.foldLeg(j, prog, res)
+		s.foldLeg(j, prog, res, limit)
 		interrupted := res.Interrupted
 		exhausted := res.Frontier == nil || res.Frontier.Empty()
 		capped := spec.MaxSchedules > 0 && prog.Schedules >= spec.MaxSchedules
@@ -785,9 +765,10 @@ func frontierLen(f *check.Frontier) int {
 }
 
 // foldLeg merges one leg's Result into the cumulative progress,
-// importing violation bundles into the content store as it goes, and
-// mirrors the counters into the job status.
-func (s *Service) foldLeg(j *job, prog *checkProgress, res *check.Result) {
+// recording its violations up to limit over the whole job and importing
+// their bundles into the content store as it goes, and mirrors the
+// counters into the job status.
+func (s *Service) foldLeg(j *job, prog *checkProgress, res *check.Result, limit int) {
 	prog.Legs++
 	prog.Schedules += res.Schedules
 	prog.ViolationsTotal += res.ViolationsTotal
@@ -796,7 +777,8 @@ func (s *Service) foldLeg(j *job, prog *checkProgress, res *check.Result) {
 	prog.TimedOutRuns += res.TimedOutRuns
 	prog.Degradations = append(prog.Degradations, res.Degradations...)
 	prog.Frontier = res.Frontier
-	for i := range res.Violations {
+	room := max(limit-len(prog.Violations), 0)
+	for i := range res.Violations[:min(len(res.Violations), room)] {
 		v := &res.Violations[i]
 		rec := ViolationRecord{Schedule: v.Schedule, Decisions: v.Decisions}
 		if v.Err != nil {
@@ -1018,9 +1000,9 @@ func (s *Service) runLint(j *job, workers int) {
 // measurement is an observation, not a pass/fail check: runs exceeding
 // the declared bound are counted in Violations but leave the job Done
 // — a negative control exceeding its bound is the measurement working.
-// Interruption discards progress (the distribution is only meaningful
-// over the full replay count) and the job restarts on resume, like a
-// non-durable check.
+// It runs as one unit: interruption discards progress (the
+// distribution is only meaningful over the full replay count) and the
+// job restarts on resume.
 func (s *Service) runMeasure(j *job, workers int) {
 	spec := j.spec.Measure
 	build, err := spec.Builder()

@@ -1,9 +1,10 @@
 #!/usr/bin/env sh
 # End-to-end smoke test for the checker service (DESIGN.md §12): boot
 # cmd/server over a fresh store, drive the REST API with curl — submit
-# an exhaustive unicons check and a violating lockcounter soak, poll
-# both to their terminal states, fetch a repro bundle by content key —
-# then SIGTERM the server and require a clean graceful shutdown.
+# an exhaustive unicons check, the same check under full reduction and
+# a violating lockcounter soak, poll them to their terminal states,
+# fetch a repro bundle by content key — then SIGTERM the server and
+# require a clean graceful shutdown.
 #
 # Tunables (env): PORT, SOAK_RUNS.
 set -eu
@@ -73,6 +74,17 @@ curl -fs -X POST "$BASE/jobs" -d '{
 check_id=$(jget "$work/submit1.json" id)
 [ -n "$check_id" ] || { echo "server-smoke: FAIL: no job id in $(cat "$work/submit1.json")" >&2; exit 1; }
 
+echo "server-smoke: submitting the same check under full reduction"
+curl -fs -X POST "$BASE/jobs" -d '{
+  "kind": "check",
+  "check": {
+    "meta": {"workload": "unicons", "n": 2, "v": 1, "quantum": 8, "max_steps": 262144},
+    "mode": "all", "reduction": "full"
+  }
+}' >"$work/submit3.json"
+reduced_id=$(jget "$work/submit3.json" id)
+[ -n "$reduced_id" ] || { echo "server-smoke: FAIL: no job id in $(cat "$work/submit3.json")" >&2; exit 1; }
+
 echo "server-smoke: submitting lockcounter soak ($SOAK_RUNS runs under a wait-free bound)"
 curl -fs -X POST "$BASE/jobs" -d '{
   "kind": "soak",
@@ -92,6 +104,14 @@ if [ "$state" != "done" ] || [ "$schedules" != "114" ]; then
     exit 1
 fi
 echo "server-smoke: check $check_id done (114 schedules, clean)"
+
+state=$(poll_terminal "$reduced_id")
+if [ "$state" != "done" ]; then
+    echo "server-smoke: FAIL: reduced unicons check ended $state (want done)" >&2
+    cat "$work/status.json" >&2
+    exit 1
+fi
+echo "server-smoke: reduced check $reduced_id done ($(jget "$work/status.json" schedules) schedules, clean)"
 
 state=$(poll_terminal "$soak_id")
 if [ "$state" != "failed" ]; then
