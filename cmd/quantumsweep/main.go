@@ -17,6 +17,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"os"
 	"strconv"
 	"strings"
 
@@ -36,16 +37,10 @@ func main() {
 	)
 	flag.Parse()
 
-	var qGrid []int
-	if *grid != "" {
-		for _, s := range strings.Split(*grid, ",") {
-			q, err := strconv.Atoi(strings.TrimSpace(s))
-			if err != nil {
-				fmt.Printf("quantumsweep: bad grid entry %q: %v\n", s, err)
-				return
-			}
-			qGrid = append(qGrid, q)
-		}
+	qGrid, err := parseGrid(*grid)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "quantumsweep: %v\n", err)
+		os.Exit(2)
 	}
 	red := check.ReductionFull
 	if *noRed {
@@ -53,4 +48,24 @@ func main() {
 	}
 	rows := bench.Table1SweepRed(*p, *m, *v, *seeds, qGrid, *parallel, red)
 	fmt.Print(bench.RenderTable1(*p, *m, *v, rows))
+}
+
+// parseGrid parses -grid, a comma-separated list of quanta; "" selects
+// the built-in grid (nil). A quantum must be an integer of at least 0.
+func parseGrid(grid string) ([]int, error) {
+	if grid == "" {
+		return nil, nil
+	}
+	var qs []int
+	for _, s := range strings.Split(grid, ",") {
+		q, err := strconv.Atoi(strings.TrimSpace(s))
+		if err != nil {
+			return nil, fmt.Errorf("bad -grid entry %q: %v", s, err)
+		}
+		if q < 0 {
+			return nil, fmt.Errorf("bad -grid entry %q: negative quantum", s)
+		}
+		qs = append(qs, q)
+	}
+	return qs, nil
 }

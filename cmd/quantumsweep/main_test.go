@@ -1,0 +1,33 @@
+package main
+
+import (
+	"reflect"
+	"testing"
+)
+
+func TestParseGrid(t *testing.T) {
+	cases := []struct {
+		grid    string
+		want    []int
+		wantErr bool
+	}{
+		{grid: "", want: nil},
+		{grid: "8", want: []int{8}},
+		{grid: "0, 4,16", want: []int{0, 4, 16}},
+		{grid: "8,x", wantErr: true},
+		{grid: "-1", wantErr: true},
+		{grid: "4,-8", wantErr: true},
+		{grid: "4,", wantErr: true},
+		{grid: "2.5", wantErr: true},
+	}
+	for _, tc := range cases {
+		got, err := parseGrid(tc.grid)
+		if (err != nil) != tc.wantErr {
+			t.Errorf("parseGrid(%q) error = %v, want error %v", tc.grid, err, tc.wantErr)
+			continue
+		}
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("parseGrid(%q) = %v, want %v", tc.grid, got, tc.want)
+		}
+	}
+}

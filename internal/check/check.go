@@ -188,8 +188,11 @@ type Options struct {
 	// ignores Reduction entirely (pruning a single random path loses
 	// coverage instead of saving it).
 	Reduction Reduction
-	// ReductionCache caps the visited-fingerprint cache (entries,
-	// 0 = 1<<20). Overflow evicts FIFO, which only forgoes pruning.
+	// ReductionCache caps the visited-fingerprint cache (entries over
+	// all its shards, 0 = 1<<20). Above one worker the cache is split
+	// into shards by fingerprint, each holding an equal share of the
+	// cap; one worker gets a single shard. A full shard evicts its
+	// oldest entry (FIFO), which only forgoes pruning.
 	ReductionCache int
 	// RunDeadline, if > 0, bounds each run in wall-clock time: a run
 	// whose chooser is still being consulted past the deadline is cut

@@ -151,8 +151,7 @@ func (c *collector) fingerprintCache() *fpCache {
 	if !c.opts.Reduction.fingerprints() {
 		return nil
 	}
-	c.cache = newFPCache(c.opts.reductionCache())
-	c.cache.noLock = c.opts.parallelism() == 1
+	c.cache = newFPCache(c.opts.reductionCache(), c.opts.parallelism())
 	return c.cache
 }
 

@@ -3,6 +3,7 @@ package check
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -136,18 +137,31 @@ type fpEntry struct {
 }
 
 // fpCache is the bounded visited-fingerprint cache shared by all
-// workers of one exploration. Eviction is FIFO by insertion order:
+// workers of one exploration. It is split into a power-of-two number of
+// shards, each with its own lock, map, FIFO ring and key arena, and a
+// fingerprint's top bits pick its shard: every entry for one
+// fingerprint lives in one shard, so each visit sees exactly what an
+// unsharded cache would show it, and two workers visiting different
+// states rarely take the same lock. One worker gets one shard and no
+// lock. Eviction is FIFO by insertion order within a shard:
 // deterministic, and sound because dropping an entry only forgoes
 // pruning. With Parallelism > 1 the insert/lookup interleaving across
 // workers is timing-dependent, so reduced-mode schedule counts (never
 // verdicts) can vary run-to-run; Parallelism: 1 restores byte-identical
 // counts, because a worker's own entries follow the key order alone.
 type fpCache struct {
-	mu sync.Mutex
-	// noLock elides the mutex on the single-worker path (Parallelism
-	// 1), where visit() is on the per-decision hot loop and even an
-	// uncontended lock pair is measurable.
-	noLock    bool
+	// noLock elides the shard locks on the single-worker path
+	// (Parallelism 1), where visit() is on the per-decision hot loop and
+	// even an uncontended lock pair is measurable.
+	noLock bool
+	shift  uint // 64 - log2(len(shards)): fp>>shift is fp's shard
+	shards []fpShard
+}
+
+// fpShard is one lock's share of the cache: at most capacity entries,
+// evicted FIFO.
+type fpShard struct {
+	mu        sync.Mutex
 	capacity  int
 	entries   map[uint64]fpEntry
 	order     []uint64 // FIFO insertion ring
@@ -160,41 +174,73 @@ type fpCache struct {
 	// per visited state to 1/keyChunkSize amortized. FIFO eviction
 	// retires keys in roughly insertion order, so dead keys cluster in
 	// the oldest chunks and a chunk is collected once its window of
-	// entries has been evicted.
-	keyChunk []int
+	// entries has been evicted. A shard's first chunk is its share of
+	// keyChunkSize, and each later one doubles up to keyChunkSize, so a
+	// sharded cache allocates no more up front than one shard does.
+	keyChunk   []int
+	firstChunk int
+	// Pads shards apart, so that no cache line holds fields of two
+	// shards and a worker holding one shard's lock does not slow
+	// another's.
+	_ [64]byte
 }
 
 const keyChunkSize = 4096
 
-func newFPCache(capacity int) *fpCache {
+// fpShards is the shard count of a cache for this many workers: one for
+// one worker, otherwise the power of two at or above eight per worker,
+// but never more shards than capacity, so every shard has room for an
+// entry.
+func fpShards(workers, capacity int) int {
+	n := 1
+	for workers > 1 && n < 8*workers && 2*n <= capacity {
+		n *= 2
+	}
+	return n
+}
+
+// newFPCache returns an empty cache of capacity entries for an
+// exploration with this many workers.
+func newFPCache(capacity, workers int) *fpCache {
+	n := fpShards(workers, capacity)
 	// The map is NOT pre-sized to capacity: the default cap is 2^20
 	// entries, and clearing that many empty buckets up front costs more
 	// than entire small explorations (it was 75% of reduced-mode CPU on
-	// the bench workload). capacity only bounds eviction; the map grows
-	// to fit actual use.
-	hint := capacity / 4
-	if hint > 1024 {
-		hint = 1024
+	// the bench workload). capacity only bounds eviction; the maps grow
+	// to fit actual use. A sharded cache sizes each shard's map for half
+	// its share of the one-shard hint: n maps sized for full shares would
+	// together cost more up front than the one map does.
+	hint := min(capacity/4, 1024)
+	if n > 1 {
+		hint /= 2 * n
 	}
-	return &fpCache{
-		capacity: capacity,
-		entries:  make(map[uint64]fpEntry, hint),
+	c := &fpCache{
+		noLock: workers == 1,
+		shift:  uint(64 - bits.TrailingZeros(uint(n))),
+		shards: make([]fpShard, n),
 	}
+	for i := range c.shards {
+		s := &c.shards[i]
+		s.capacity = capacity / n
+		if i < capacity%n {
+			s.capacity++
+		}
+		s.entries = make(map[uint64]fpEntry, hint)
+		s.firstChunk = keyChunkSize / n
+	}
+	return c
 }
 
 // putKey copies key into the current chunk, returning a stable
 // full-capacity subslice.
-func (c *fpCache) putKey(key []int) []int {
-	if len(c.keyChunk)+len(key) > cap(c.keyChunk) {
-		n := keyChunkSize
-		if len(key) > n {
-			n = len(key)
-		}
-		c.keyChunk = make([]int, 0, n)
+func (s *fpShard) putKey(key []int) []int {
+	if len(s.keyChunk)+len(key) > cap(s.keyChunk) {
+		n := max(min(2*cap(s.keyChunk), keyChunkSize), s.firstChunk, len(key))
+		s.keyChunk = make([]int, 0, n)
 	}
-	ks := len(c.keyChunk)
-	c.keyChunk = append(c.keyChunk, key...)
-	return c.keyChunk[ks:len(c.keyChunk):len(c.keyChunk)]
+	ks := len(s.keyChunk)
+	s.keyChunk = append(s.keyChunk, key...)
+	return s.keyChunk[ks:len(s.keyChunk):len(s.keyChunk)]
 }
 
 // compareKey orders taken-decision vectors lexicographically with a
@@ -284,16 +330,17 @@ func sleepSubset(a, b []sched.SleepEntry) bool {
 // needed for soundness: it keeps single-worker explorations exactly as
 // they were.
 func (c *fpCache) visit(fp uint64, w int, taken []int, sleep []sched.SleepEntry, budget int) bool {
+	s := &c.shards[fp>>c.shift]
 	if !c.noLock {
-		c.mu.Lock()
-		defer c.mu.Unlock()
+		s.mu.Lock()
+		defer s.mu.Unlock()
 	}
-	e, ok := c.entries[fp]
+	e, ok := s.entries[fp]
 	if !ok {
-		c.insert(fp, w, taken, sleep, budget)
+		s.insert(fp, w, taken, sleep, budget)
 		return false
 	}
-	c.hits++
+	s.hits++
 	if e.worker != w {
 		return e.covers(budget, sleep)
 	}
@@ -309,7 +356,7 @@ func (c *fpCache) visit(fp uint64, w int, taken []int, sleep []sched.SleepEntry,
 		e.key = append(e.key[:0], taken...)
 		e.sleep = append(e.sleep[:0], sleep...)
 		e.budget = budget
-		c.entries[fp] = e
+		s.entries[fp] = e
 		return false
 	}
 }
@@ -322,22 +369,24 @@ func (e fpEntry) covers(budget int, sleep []sched.SleepEntry) bool {
 	return e.budget >= budget && sleepSubset(e.sleep, sleep)
 }
 
-func (c *fpCache) insert(fp uint64, w int, taken []int, sleep []sched.SleepEntry, budget int) {
-	if len(c.entries) >= c.capacity {
-		victim := c.order[c.head]
-		c.order[c.head] = fp
-		c.head = (c.head + 1) % len(c.order)
-		delete(c.entries, victim)
-		c.evictions++
+// insert records a miss in the shard, evicting the shard's oldest entry
+// when it is full.
+func (s *fpShard) insert(fp uint64, w int, taken []int, sleep []sched.SleepEntry, budget int) {
+	if len(s.entries) >= s.capacity {
+		victim := s.order[s.head]
+		s.order[s.head] = fp
+		s.head = (s.head + 1) % len(s.order)
+		delete(s.entries, victim)
+		s.evictions++
 	} else {
-		c.order = append(c.order, fp)
+		s.order = append(s.order, fp)
 	}
 	var sleepCopy []sched.SleepEntry
 	if len(sleep) > 0 {
 		sleepCopy = append(sleepCopy, sleep...)
 	}
-	c.entries[fp] = fpEntry{
-		key:    c.putKey(taken),
+	s.entries[fp] = fpEntry{
+		key:    s.putKey(taken),
 		sleep:  sleepCopy,
 		budget: budget,
 		worker: w,
@@ -347,26 +396,41 @@ func (c *fpCache) insert(fp uint64, w int, taken []int, sleep []sched.SleepEntry
 // shed empties the cache under memory pressure (the collector's
 // degradation ladder). Sound for the same reason FIFO eviction is:
 // dropping entries only forgoes pruning, so later runs re-execute work
-// instead of being cut off — verdicts are unaffected. The noLock fast
-// path is safe here too: at Parallelism 1 shed runs on the single
-// exploring goroutine, between runs.
+// instead of being cut off — verdicts are unaffected. Visits may go on
+// in the other shards while one is emptied.
 func (c *fpCache) shed() {
-	if !c.noLock {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-	}
-	c.entries = make(map[uint64]fpEntry, 64)
-	c.order = nil
-	c.head = 0
-	c.keyChunk = nil
+	c.each(func(s *fpShard) {
+		s.entries = make(map[uint64]fpEntry, 64/len(c.shards))
+		s.order = nil
+		s.head = 0
+		s.keyChunk = nil
+	})
 }
 
+// stats sums the shards' hits, evictions and live entries.
 func (c *fpCache) stats() (hits, evictions int64, entries int) {
-	if !c.noLock {
-		c.mu.Lock()
-		defer c.mu.Unlock()
+	c.each(func(s *fpShard) {
+		hits += s.hits
+		evictions += s.evictions
+		entries += len(s.entries)
+	})
+	return hits, evictions, entries
+}
+
+// each calls f on every shard in turn, under that shard's lock. The
+// noLock fast path is safe here too: at Parallelism 1 the callers run
+// on the single exploring goroutine, between runs.
+func (c *fpCache) each(f func(s *fpShard)) {
+	for i := range c.shards {
+		s := &c.shards[i]
+		if !c.noLock {
+			s.mu.Lock()
+		}
+		f(s)
+		if !c.noLock {
+			s.mu.Unlock()
+		}
 	}
-	return c.hits, c.evictions, len(c.entries)
 }
 
 // pruneFunc adapts the cache to the chooser-side sched.PruneFunc

@@ -1,6 +1,10 @@
 package check
 
 import (
+	"fmt"
+	"math/bits"
+	"runtime"
+	"sync"
 	"testing"
 
 	"repro/internal/mem"
@@ -103,7 +107,7 @@ func TestFPCacheVisitRules(t *testing.T) {
 	e1 := sched.SleepEntry{Proc: 1}
 	e2 := sched.SleepEntry{Proc: 2}
 
-	c := newFPCache(16)
+	c := newFPCache(16, 1)
 	// Miss: the visitor claims the state, never prunes.
 	if c.visit(100, 0, []int{1, 0}, []sched.SleepEntry{e1}, 5) {
 		t.Fatal("pruned on a cache miss")
@@ -136,7 +140,7 @@ func TestFPCacheVisitRules(t *testing.T) {
 	// Larger cached key: the current run is the more canonical visitor;
 	// it replaces the entry and continues, and the old key's runs now
 	// defer to it.
-	c2 := newFPCache(16)
+	c2 := newFPCache(16, 1)
 	if c2.visit(200, 0, []int{3}, nil, 5) {
 		t.Fatal("pruned on a miss")
 	}
@@ -154,7 +158,7 @@ func TestFPCacheVisitRules(t *testing.T) {
 	// Another worker's entry prunes any visit it covers, whatever the
 	// keys: its visitor ran on past the state, so the subtree is handed
 	// to a run that is already deeper.
-	c3 := newFPCache(16)
+	c3 := newFPCache(16, 1)
 	if c3.visit(300, 0, []int{2, 1}, []sched.SleepEntry{e1}, 5) {
 		t.Fatal("pruned on a miss")
 	}
@@ -172,7 +176,7 @@ func TestFPCacheVisitRules(t *testing.T) {
 	if c3.visit(300, 1, []int{1, 1}, []sched.SleepEntry{e2}, 5) {
 		t.Fatal("pruned despite a non-superset sleep set")
 	}
-	if e := c3.entries[300]; e.worker != 0 || compareKey(e.key, []int{2, 1}) != 0 {
+	if e := c3.shards[0].entries[300]; e.worker != 0 || compareKey(e.key, []int{2, 1}) != 0 {
 		t.Fatalf("another worker's smaller key replaced the entry: worker %d, key %v", e.worker, e.key)
 	}
 	if !c3.visit(300, 0, []int{3}, []sched.SleepEntry{e1}, 5) {
@@ -188,7 +192,7 @@ func TestFPCacheVisitRules(t *testing.T) {
 // and that an evicted fingerprint behaves as a fresh miss — forgoing
 // pruning, never corrupting it.
 func TestFPCacheFIFOEviction(t *testing.T) {
-	c := newFPCache(2)
+	c := newFPCache(2, 1)
 	for fp := uint64(1); fp <= 3; fp++ {
 		if c.visit(fp, 0, []int{0}, nil, 1) {
 			t.Fatalf("pruned on insert of %d", fp)
@@ -206,5 +210,119 @@ func TestFPCacheFIFOEviction(t *testing.T) {
 	// Fingerprint 3 is still cached; a later-key revisit prunes.
 	if !c.visit(3, 0, []int{9}, nil, 1) {
 		t.Fatal("retained entry did not prune")
+	}
+}
+
+// TestFPCacheConcurrentVisits has workers visit overlapping fingerprints
+// of a sharded cache at once, each under its own worker id. Every visit
+// is a hit or a miss, and every miss leaves an entry or evicts one, so
+// the shards' sums must account for each visit exactly. A second round
+// sheds the cache while visits are in flight.
+func TestFPCacheConcurrentVisits(t *testing.T) {
+	const workers, perWorker = 4, 2000
+	for _, capacity := range []int{1 << 20, 64} {
+		c := newFPCache(capacity, workers)
+		if len(c.shards) < 2 {
+			t.Fatalf("capacity %d: %d shards, want several", capacity, len(c.shards))
+		}
+		visitAll := func() {
+			var wg sync.WaitGroup
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					sleep := []sched.SleepEntry{{Proc: w}}
+					for i := 0; i < perWorker; i++ {
+						// Neighbouring workers share half their fingerprints.
+						fp := mem.Mix(uint64(w*perWorker/2+i), 0)
+						c.visit(fp, w, []int{w, i % 7, i}, sleep[:i%2], i%5)
+					}
+				}()
+			}
+			wg.Wait()
+		}
+		visitAll()
+		hits, evictions, entries := c.stats()
+		if entries > capacity {
+			t.Errorf("capacity %d: %d entries", capacity, entries)
+		}
+		if got := hits + evictions + int64(entries); got != workers*perWorker {
+			t.Errorf("capacity %d: hits %d + evictions %d + entries %d = %d, want %d visits",
+				capacity, hits, evictions, entries, got, workers*perWorker)
+		}
+
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			for i := 0; i < 20; i++ {
+				c.shed()
+				runtime.Gosched()
+			}
+		}()
+		visitAll()
+		<-done
+		if _, _, entries := c.stats(); entries > capacity {
+			t.Errorf("capacity %d: %d entries after shedding", capacity, entries)
+		}
+	}
+}
+
+// TestFPCacheCapacity checks that the shards together never hold more
+// than ReductionCache entries, whatever the worker count, including
+// capacities below the shard count a worker count asks for, and that
+// every insert past a full shard evicts exactly one entry.
+func TestFPCacheCapacity(t *testing.T) {
+	for _, capacity := range []int{1, 2, 3, 17, 1000} {
+		for _, workers := range []int{1, 2, 8} {
+			t.Run(fmt.Sprintf("cap%d/w%d", capacity, workers), func(t *testing.T) {
+				c := newFPCache(capacity, workers)
+				n := len(c.shards)
+				if bits.OnesCount(uint(n)) != 1 || n > capacity || (workers == 1 && n != 1) {
+					t.Fatalf("%d shards", n)
+				}
+				inserts := 4 * capacity
+				for i := 0; i < inserts; i++ {
+					if c.visit(mem.Mix(uint64(i), 0), i%workers, []int{i}, nil, 1) {
+						t.Fatalf("insert %d pruned", i)
+					}
+				}
+				hits, evictions, entries := c.stats()
+				if hits != 0 || entries > capacity || int64(entries)+evictions != int64(inserts) {
+					t.Fatalf("hits %d, entries %d, evictions %d after %d distinct inserts into capacity %d",
+						hits, entries, evictions, inserts, capacity)
+				}
+			})
+		}
+	}
+}
+
+// TestFPCacheUpFrontBytes checks that sharding does not raise what a
+// small exploration pays before its cache is warm: a two-worker cache
+// that has taken one insert per shard has allocated no more than a
+// one-worker cache after the same inserts.
+func TestFPCacheUpFrontBytes(t *testing.T) {
+	capacity := Options{}.reductionCache()
+	two := newFPCache(capacity, 2)
+	fps := make([]uint64, len(two.shards))
+	for i := range fps {
+		fps[i] = uint64(i) << two.shift
+	}
+	key := make([]int, 20)
+	alloc := func(workers int) uint64 {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		c := newFPCache(capacity, workers)
+		for _, fp := range fps {
+			c.visit(fp, 0, key, nil, 1)
+		}
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(c)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	one, sharded := alloc(1), alloc(2)
+	if sharded > one {
+		t.Fatalf("two-worker cache (%d shards) allocated %d bytes for %d inserts, one-worker cache %d",
+			len(fps), sharded, len(fps), one)
 	}
 }
