@@ -31,8 +31,10 @@
 // or ./dir/... . Dependencies of the selection are analyzed too (their
 // facts feed the interprocedural passes) but only selected packages are
 // reported on. Analysis is package-graph parallel with a content-hash
-// incremental cache under .reprolint-cache/. Exit status is 1 when any
-// diagnostic is reported, 2 on usage or load errors.
+// incremental cache under .reprolint-cache/. reprolint runs from any
+// directory inside the module, and relative -o, -bounds and -cache-dir
+// paths name files under that working directory. Exit status is 1 when
+// any diagnostic is reported, 2 on usage or load errors.
 package main
 
 import (
@@ -75,13 +77,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "reprolint: %v\n", err)
 		os.Exit(2)
 	}
-	// The source importer resolves module-internal imports through the
-	// go command, which needs a working directory inside the module.
-	if err := os.Chdir(root); err != nil {
-		fmt.Fprintf(os.Stderr, "reprolint: %v\n", err)
-		os.Exit(2)
-	}
-
 	res, err := analysis.RunDriver(analysis.DriverOptions{
 		Root:        root,
 		Patterns:    patterns,

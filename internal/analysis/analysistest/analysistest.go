@@ -37,8 +37,7 @@ func Run(t *testing.T, a *analysis.Analyzer, dir string) []*analysis.Package {
 	if err != nil {
 		t.Fatalf("analysistest: %v", err)
 	}
-	loader := analysis.NewLoader()
-	pkgs, err := loader.LoadDir(abs, fixturePath(abs), true)
+	pkgs, err := newLoader(t, abs).LoadDir(abs, fixturePath(abs), true)
 	if err != nil {
 		t.Fatalf("analysistest: load %s: %v", dir, err)
 	}
@@ -69,8 +68,7 @@ func RunMarkers(t *testing.T, dir string, as ...*analysis.Analyzer) []*analysis.
 	if err != nil {
 		t.Fatalf("analysistest: %v", err)
 	}
-	loader := analysis.NewLoader()
-	pkgs, err := loader.LoadDir(abs, fixturePath(abs), true)
+	pkgs, err := newLoader(t, abs).LoadDir(abs, fixturePath(abs), true)
 	if err != nil {
 		t.Fatalf("analysistest: load %s: %v", dir, err)
 	}
@@ -90,6 +88,17 @@ func RunMarkers(t *testing.T, dir string, as ...*analysis.Analyzer) []*analysis.
 	}
 	checkWants(t, abs, diags)
 	return pkgs
+}
+
+// newLoader returns a Loader for the module holding the fixture dir, so
+// the fixture's module imports resolve in that module.
+func newLoader(t *testing.T, dir string) *analysis.Loader {
+	t.Helper()
+	root, err := analysis.FindModuleRoot(dir)
+	if err != nil {
+		t.Fatalf("analysistest: %v", err)
+	}
+	return analysis.NewLoader(root)
 }
 
 // fixturePath synthesizes a stable module-internal import path for a

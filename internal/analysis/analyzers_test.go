@@ -181,8 +181,11 @@ func TestAnalyzerInventory(t *testing.T) {
 }
 
 func TestMarkerValidation(t *testing.T) {
-	loader := analysis.NewLoader()
-	pkgs, err := loader.LoadDir("testdata/allowmarkers", "repro/internal/analysis/testdata/allowmarkers", true)
+	root, err := analysis.FindModuleRoot(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs, err := analysis.NewLoader(root).LoadDir("testdata/allowmarkers", "repro/internal/analysis/testdata/allowmarkers", true)
 	if err != nil {
 		t.Fatal(err)
 	}

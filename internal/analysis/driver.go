@@ -38,8 +38,9 @@ type DriverOptions struct {
 	// <Root>/.reprolint-cache).
 	CacheDir string
 	// Parallelism caps concurrent package analysis (default GOMAXPROCS,
-	// min 1). Each worker owns its own loader, so type-checking runs
-	// genuinely in parallel across the package graph.
+	// min 1). The workers share one Loader, so each imported package is
+	// type-checked once per run, by whichever worker needs it first,
+	// while the analyzed packages themselves check in parallel.
 	Parallelism int
 }
 
@@ -174,9 +175,8 @@ type dirState struct {
 // dependencies, whose facts the interprocedural analyzers consume) in
 // package-graph-parallel topological order, consulting the incremental
 // cache, and returns sorted diagnostics plus the derived bounds report.
-//
-// The process working directory must be inside the module: the source
-// importer resolves module-internal imports through the go command.
+// Module imports resolve under opts.Root, whatever the process's working
+// directory.
 func RunDriver(opts DriverOptions) (*DriverResult, error) {
 	root, err := filepath.Abs(opts.Root)
 	if err != nil {
@@ -334,8 +334,8 @@ func RunDriver(opts DriverOptions) (*DriverResult, error) {
 		return out
 	}
 
+	loader := NewLoader(root)
 	worker := func() {
-		var loader *Loader
 		for {
 			mu.Lock()
 			for len(ready) == 0 && remaining > 0 && firstErr == nil {
@@ -373,9 +373,6 @@ func RunDriver(opts DriverOptions) (*DriverResult, error) {
 				diags, facts, hit = readCacheEntry(cacheDir, st.key, root)
 			}
 			if !hit {
-				if loader == nil {
-					loader = NewLoader()
-				}
 				diags, facts, err = analyzeDir(loader, root, st.info, opts.Tests, depFacts)
 				if err == nil && opts.Cache {
 					writeCacheEntry(cacheDir, st.key, root, st.info, diags, facts)
@@ -507,16 +504,7 @@ func scanDir(root, modPath, rel string, tests bool) (*dirInfo, error) {
 			if err != nil {
 				continue
 			}
-			var depRel string
-			switch {
-			case path == modPath:
-				depRel = "."
-			case strings.HasPrefix(path, modPath+"/"):
-				depRel = path[len(modPath)+1:]
-			default:
-				continue
-			}
-			if depRel != rel {
+			if depRel, ok := moduleRel(modPath, path); ok && depRel != rel {
 				depSet[depRel] = true
 			}
 		}
@@ -536,6 +524,19 @@ func pkgPathFor(modPath, rel string) string {
 		return modPath
 	}
 	return modPath + "/" + filepath.ToSlash(rel)
+}
+
+// moduleRel is pkgPathFor's inverse: the module-root-relative,
+// slash-separated directory of import path, or false when path is not
+// in module modPath.
+func moduleRel(modPath, path string) (string, bool) {
+	switch {
+	case path == modPath:
+		return ".", true
+	case strings.HasPrefix(path, modPath+"/"):
+		return path[len(modPath)+1:], true
+	}
+	return "", false
 }
 
 // analyzeDir loads, type-checks, and runs every applicable analyzer

@@ -1,8 +1,12 @@
 package analysis_test
 
 import (
+	"bytes"
+	"go/types"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/analysis"
@@ -35,9 +39,6 @@ func TestFindModuleRoot(t *testing.T) {
 // analyzes every needed package, an immediate re-run over unchanged
 // sources answers entirely from the cache with identical results.
 func TestDriverCacheWarm(t *testing.T) {
-	if testing.Short() {
-		t.Skip("type-checks packages from source; skipped in -short")
-	}
 	root, err := analysis.FindModuleRoot(".")
 	if err != nil {
 		t.Fatal(err)
@@ -85,5 +86,148 @@ func TestDriverUnknownPattern(t *testing.T) {
 		Patterns: []string{"./no/such/dir"},
 	}); err == nil {
 		t.Fatal("expected an error for a pattern matching nothing")
+	}
+}
+
+// writeModule writes files (slash-separated path → content) under a
+// fresh temporary directory and returns it.
+func writeModule(t *testing.T, files map[string]string) string {
+	t.Helper()
+	root := t.TempDir()
+	for name, content := range files {
+		path := filepath.Join(root, filepath.FromSlash(name))
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return root
+}
+
+// TestDriverResolvesModuleFromRoot pins that module imports resolve
+// under DriverOptions.Root, not the process's working directory. The
+// module shares this repository's module path, but internal/b uses a
+// symbol only its own internal/a declares, so resolving internal/a
+// anywhere else fails the type-check.
+func TestDriverResolvesModuleFromRoot(t *testing.T) {
+	root := writeModule(t, map[string]string{
+		"go.mod":          "module repro\n\ngo 1.23\n",
+		"internal/a/a.go": "package a\n\nimport \"strings\"\n\n// OnlyInProbeModule is declared nowhere else.\nfunc OnlyInProbeModule(s string) string { return strings.ToUpper(s) }\n",
+		"internal/b/b.go": "package b\n\nimport \"repro/internal/a\"\n\n// Use calls into internal/a.\nfunc Use() string { return a.OnlyInProbeModule(\"b\") }\n",
+	})
+	run := func(t *testing.T) {
+		res, err := analysis.RunDriver(analysis.DriverOptions{
+			Root: root, Patterns: []string{"./internal/b"}, Tests: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Analyzed != 2 || len(res.Diags) != 0 {
+			t.Errorf("analyzed %d dirs with %d findings %v, want 2 and none", res.Analyzed, len(res.Diags), res.Diags)
+		}
+	}
+	t.Run("inside another module", run)
+	t.Run("outside any module", func(t *testing.T) {
+		prev, err := os.Getwd()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Chdir(t.TempDir()); err != nil {
+			t.Fatal(err)
+		}
+		defer func() {
+			if err := os.Chdir(prev); err != nil {
+				t.Error(err)
+			}
+		}()
+		run(t)
+	})
+}
+
+// TestDriverDeterministicAcrossParallelism pins that the shared
+// importer leaves results independent of scheduling: every worker count
+// gives the same findings and a byte-identical bounds report.
+func TestDriverDeterministicAcrossParallelism(t *testing.T) {
+	root, err := analysis.FindModuleRoot(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var firstDiags []analysis.Diagnostic
+	var firstBounds []byte
+	for i, workers := range []int{1, 2, 8} {
+		res, err := analysis.RunDriver(analysis.DriverOptions{
+			Root: root, Tests: true, Cache: false, Parallelism: workers})
+		if err != nil {
+			t.Fatalf("parallelism %d: %v", workers, err)
+		}
+		var bounds bytes.Buffer
+		if err := analysis.WriteBoundsReport(&bounds, res.Bounds); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			firstDiags, firstBounds = res.Diags, bounds.Bytes()
+			continue
+		}
+		if !reflect.DeepEqual(res.Diags, firstDiags) {
+			t.Errorf("parallelism %d: diags %v, want %v", workers, res.Diags, firstDiags)
+		}
+		if !bytes.Equal(bounds.Bytes(), firstBounds) {
+			t.Errorf("parallelism %d: bounds report differs from parallelism 1", workers)
+		}
+	}
+}
+
+// TestDriverNeedsNoCCompiler pins that imports are type-checked without
+// cgo: internal/service reaches net, whose cgo files would need a C
+// compiler.
+func TestDriverNeedsNoCCompiler(t *testing.T) {
+	t.Setenv("CC", "/bin/false")
+	root, err := analysis.FindModuleRoot(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := analysis.RunDriver(analysis.DriverOptions{
+		Root: root, Patterns: []string{"./internal/service"}, Tests: true, Cache: false}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestLoaderSharesImports pins one type-check per imported package: one
+// Loader used from eight goroutines at once hands every package the
+// same *types.Package for a dependency they share.
+func TestLoaderSharesImports(t *testing.T) {
+	root, err := analysis.FindModuleRoot(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const shared = "repro/internal/sim"
+	dirs := []string{"unicons", "multicons", "hybridcas", "universal", "qlocal", "renaming", "baseline", "core"}
+	loader := analysis.NewLoader(root)
+	got := make([]*types.Package, len(dirs))
+	var wg sync.WaitGroup
+	for i, dir := range dirs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			pkgs, err := loader.LoadDir(filepath.Join(root, "internal", dir), "repro/internal/"+dir, false)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for _, imp := range pkgs[0].Types.Imports() {
+				if imp.Path() == shared {
+					got[i] = imp
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for i, p := range got {
+		if p == nil {
+			t.Errorf("internal/%s: no import of %s", dirs[i], shared)
+		} else if p != got[0] {
+			t.Errorf("internal/%s imports a different %s than internal/%s", dirs[i], shared, dirs[0])
+		}
 	}
 }

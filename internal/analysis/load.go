@@ -3,7 +3,7 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
-	"go/importer"
+	"go/build"
 	"go/parser"
 	"go/token"
 	"go/types"
@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // A Package is one loaded, type-checked package plus its suppression
@@ -36,25 +37,25 @@ type Package struct {
 	depFacts map[string]*PackageFacts
 }
 
-// A Loader parses and type-checks packages of this module from source.
-// The zero value is not usable; construct with NewLoader. One Loader
-// shares a FileSet and a source importer (which caches transitively
-// type-checked dependencies) across every LoadDir call.
+// A Loader parses and type-checks packages of one module from source.
+// Construct it with NewLoader. One Loader shares a FileSet and an
+// importer across every LoadDir call, and LoadDir may be called from
+// several goroutines at once: the importer type-checks each imported
+// package once, whichever call imports it first, and every other call
+// shares that *types.Package.
 type Loader struct {
 	fset *token.FileSet
-	imp  types.ImporterFrom
+	imp  *srcImporter
 }
 
-// NewLoader returns a Loader backed by the standard library's source
-// importer. The importer resolves module-internal import paths through
-// the go command, so the process's working directory must be inside the
-// module.
-func NewLoader() *Loader {
+// NewLoader returns a Loader for the module rooted at root. Imports of
+// that module's packages resolve to directories under root, whatever
+// the process's working directory; other imports resolve in the
+// standard library. Resolution and type-checking run in process: no go
+// command and no C compiler.
+func NewLoader(root string) *Loader {
 	fset := token.NewFileSet()
-	return &Loader{
-		fset: fset,
-		imp:  importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
-	}
+	return &Loader{fset: fset, imp: newSrcImporter(fset, root)}
 }
 
 // Fset returns the loader's shared FileSet.
@@ -208,4 +209,104 @@ func ModulePath(root string) (string, error) {
 		}
 	}
 	return "", fmt.Errorf("no module line in %s/go.mod", root)
+}
+
+// srcImporter type-checks imported packages from source, ignoring
+// function bodies, as the standard library's source importer does,
+// with three differences:
+//
+//   - each package is type-checked once per importer, behind its own
+//     once, so concurrent checkers share one result;
+//   - module-internal paths resolve under root (go/build's ImportDir),
+//     and other paths through go/build's Import, which finds standard
+//     library packages in GOROOT without asking the go command;
+//   - packages are type-checked as a CGO_ENABLED=0 build sees them, so
+//     cgo never runs: a package with cgo files, such as net, checks its
+//     pure-Go fallback files instead, which export the same API
+//     (TestImporterMatchesSourceImporter).
+//
+// The import graph it walks is acyclic (the driver rejects module
+// import cycles, and the standard library has none), so the nested
+// onces of one import chain cannot wait on each other.
+type srcImporter struct {
+	fset    *token.FileSet
+	ctxt    build.Context
+	sizes   types.Sizes
+	root    string
+	modPath string // "" when root has no readable go.mod: nothing is in the module
+
+	mu   sync.Mutex
+	pkgs map[string]*importedPkg // by resolved import path
+}
+
+type importedPkg struct {
+	once sync.Once
+	pkg  *types.Package
+	err  error
+}
+
+func newSrcImporter(fset *token.FileSet, root string) *srcImporter {
+	ctxt := build.Default
+	ctxt.CgoEnabled = false
+	modPath, _ := ModulePath(root)
+	return &srcImporter{
+		fset:    fset,
+		ctxt:    ctxt,
+		sizes:   types.SizesFor(ctxt.Compiler, ctxt.GOARCH),
+		root:    root,
+		modPath: modPath,
+		pkgs:    map[string]*importedPkg{},
+	}
+}
+
+func (p *srcImporter) Import(path string) (*types.Package, error) {
+	return p.ImportFrom(path, ".", 0)
+}
+
+func (p *srcImporter) ImportFrom(path, srcDir string, _ types.ImportMode) (*types.Package, error) {
+	if path == "unsafe" {
+		return types.Unsafe, nil
+	}
+	var dir string
+	if rel, ok := moduleRel(p.modPath, path); ok {
+		dir = filepath.Join(p.root, filepath.FromSlash(rel))
+	} else {
+		bp, err := p.ctxt.Import(path, srcDir, build.FindOnly)
+		if err != nil {
+			return nil, err
+		}
+		path, dir = bp.ImportPath, bp.Dir
+	}
+	p.mu.Lock()
+	e := p.pkgs[path]
+	if e == nil {
+		e = &importedPkg{}
+		p.pkgs[path] = e
+	}
+	p.mu.Unlock()
+	e.once.Do(func() { e.pkg, e.err = p.check(path, dir) })
+	return e.pkg, e.err
+}
+
+// check parses the Go files a build of dir selects and type-checks
+// them as package path.
+func (p *srcImporter) check(path, dir string) (*types.Package, error) {
+	bp, err := p.ctxt.ImportDir(dir, 0)
+	if err != nil {
+		return nil, err
+	}
+	files := make([]*ast.File, 0, len(bp.GoFiles))
+	for _, name := range bp.GoFiles {
+		f, err := parser.ParseFile(p.fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, f)
+	}
+	conf := types.Config{IgnoreFuncBodies: true, Importer: p, Sizes: p.sizes}
+	pkg, err := conf.Check(path, p.fset, files, nil)
+	if err != nil {
+		return nil, fmt.Errorf("type-check %s: %w", path, err)
+	}
+	return pkg, nil
 }

@@ -16,9 +16,6 @@ import (
 // constant exactly, and the blocking negative control staying
 // unbounded.
 func TestDeclaredBoundsReconcile(t *testing.T) {
-	if testing.Short() {
-		t.Skip("type-checks the algorithm packages from source; skipped in -short")
-	}
 	root, err := analysis.FindModuleRoot(".")
 	if err != nil {
 		t.Fatal(err)
