@@ -328,7 +328,9 @@ func (c *collector) result(explorer string, budget int) *Result {
 // points the slot at each schedule's chooser before each rerun. The
 // slot implements sim.Crasher by delegation and reports via
 // CrashesArmed whether the inner chooser can actually inject faults, so
-// the kernel skips the per-step Crashes call for ordinary choosers.
+// the kernel skips the per-step Crashes call for ordinary choosers. It
+// forwards ReadsSince too, so the kernel keeps the access log only for
+// a chooser that reads it.
 type chooserSlot struct {
 	ch      sim.Chooser
 	crasher sim.Crasher
@@ -341,6 +343,10 @@ func (s *chooserSlot) set(ch sim.Chooser) {
 
 // Pick implements sim.Chooser.
 func (s *chooserSlot) Pick(d sim.Decision) int { return s.ch.Pick(d) }
+
+// ReadsSince reports whether the current inner chooser reads
+// sim.Decision.Since.
+func (s *chooserSlot) ReadsSince() bool { return sim.ReadsSince(s.ch) }
 
 // Crashes implements sim.Crasher.
 func (s *chooserSlot) Crashes(d sim.Decision) []*sim.Process {

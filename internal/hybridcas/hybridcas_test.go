@@ -33,6 +33,12 @@ func casCounterBuilder(n, levels, opsPer, quantum int) check.Builder {
 				})
 			}
 		}
+		// Pool the system: a rerun swaps in a fresh object under the
+		// same name (the invocations capture the variable).
+		sys.OnReset(func() {
+			obj = hybridcas.New("cas", levels, 0)
+			succ = 0
+		})
 		verify := func(runErr error) error {
 			if runErr != nil {
 				return fmt.Errorf("run failed: %w", runErr)

@@ -30,6 +30,9 @@ func reclaimCounterBuilder(n, levels, opsPer, quantum, threshold int) check.Buil
 				})
 			}
 		}
+		sys.OnReset(func() {
+			obj = hybridcas.NewReclaiming("cas", levels, 0, threshold)
+		})
 		verify := func(runErr error) error {
 			if runErr != nil {
 				return fmt.Errorf("run failed: %w", runErr)

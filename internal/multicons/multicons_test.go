@@ -33,6 +33,12 @@ func fig7Builder(cfg multicons.Config, quantum int) check.Builder {
 				id++
 			}
 		}
+		// Pool the system: a rerun swaps in a fresh instance under the
+		// same name (the invocations capture the variable).
+		sys.OnReset(func() {
+			alg = multicons.New(cfg)
+			clear(outs)
+		})
 		verify := func(runErr error) error {
 			if runErr != nil {
 				return fmt.Errorf("run failed: %w", runErr)
@@ -200,6 +206,10 @@ func fig9Builder(p, v, k, n, quantum int) check.Builder {
 				outs[me] = alg.Decide(c, mem.Word(me+1))
 			})
 		}
+		sys.OnReset(func() {
+			alg = multicons.NewFair("f9", p, v, k)
+			clear(outs)
+		})
 		verify := func(runErr error) error {
 			if runErr != nil {
 				return fmt.Errorf("run failed: %w", runErr)

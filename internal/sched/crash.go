@@ -38,6 +38,9 @@ func NewCrash(inner sim.Chooser, plan ...CrashPoint) *Crash {
 // Pick implements sim.Chooser by delegating to Inner.
 func (c *Crash) Pick(d sim.Decision) int { return c.Inner.Pick(d) }
 
+// ReadsSince reports whether Inner reads Decision.Since.
+func (c *Crash) ReadsSince() bool { return sim.ReadsSince(c.Inner) }
+
 // Reset rearms every planned crash for a pooled rerun
 // (sim.System.OnReset hooks). The plan itself is immutable.
 func (c *Crash) Reset() {
@@ -102,6 +105,9 @@ func NewRandomCrash(inner sim.Chooser, seed int64, maxCrashes int, prob float64)
 
 // Pick implements sim.Chooser by delegating to Inner.
 func (c *RandomCrash) Pick(d sim.Decision) int { return c.Inner.Pick(d) }
+
+// ReadsSince reports whether Inner reads Decision.Since.
+func (c *RandomCrash) ReadsSince() bool { return sim.ReadsSince(c.Inner) }
 
 // Reseed rewinds the injector to the start of the crash stream for
 // seed, so a pooled worker replays seed after seed. Reseed(inner, s) is

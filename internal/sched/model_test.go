@@ -270,3 +270,58 @@ func TestSpecValidation(t *testing.T) {
 		}
 	}
 }
+
+// readsLog reports whether a spec tree has a reduced model with sleep
+// sets on: the one chooser that reads sim.Decision.Since.
+func readsLog(spec *sched.ModelSpec) bool {
+	for node := spec; node != nil; node = node.Inner {
+		if node.Name == "reduced" && node.Param("sleepsets") != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// TestReadsSinceForwarding pins that a run which reads the access log
+// always gets it: every matrix row, and nested wrappers around the
+// reduced model, reports through sim.ReadsSince exactly when its spec
+// tree reads the log, and reports the same wrapped in Record and in
+// Watchdog.
+func TestReadsSinceForwarding(t *testing.T) {
+	specs := make([]string, 0, len(modelMatrix)+4)
+	for _, row := range modelMatrix {
+		specs = append(specs, row.spec)
+	}
+	specs = append(specs,
+		`{"name":"reduced","params":{"sleepsets":0}}`,
+		`{"name":"record","inner":{"name":"watchdog","inner":{"name":"reduced"}}}`,
+		`{"name":"randomcrash","inner":{"name":"crash","inner":{"name":"reduced"}}}`,
+		`{"name":"record","inner":{"name":"reduced","params":{"sleepsets":0}}}`,
+	)
+	for _, s := range specs {
+		spec, err := sched.ParseModelSpec(s)
+		if err != nil {
+			t.Fatalf("ParseModelSpec(%q): %v", s, err)
+		}
+		ch, err := sched.NewFromSpec(spec)
+		if err != nil {
+			t.Fatalf("NewFromSpec(%s): %v", spec, err)
+		}
+		want := readsLog(spec)
+		if got := sim.ReadsSince(ch); got != want {
+			t.Errorf("%s: ReadsSince = %v, want %v", spec, got, want)
+		}
+		wrapped := []struct {
+			name string
+			ch   sim.Chooser
+		}{
+			{"record", sched.NewRecord(ch)},
+			{"watchdog", &sched.Watchdog{Inner: ch}},
+		}
+		for _, w := range wrapped {
+			if got := sim.ReadsSince(w.ch); got != want {
+				t.Errorf("%s in %s: ReadsSince = %v, want %v", spec, w.name, got, want)
+			}
+		}
+	}
+}

@@ -49,6 +49,10 @@ func (r *Record) CrashesArmed() bool {
 	return ok
 }
 
+// ReadsSince reports whether Inner reads Decision.Since; Record itself
+// does not.
+func (r *Record) ReadsSince() bool { return sim.ReadsSince(r.Inner) }
+
 // Pick implements sim.Chooser, delegating to Inner and recording the
 // chosen candidate index.
 func (r *Record) Pick(d sim.Decision) int {

@@ -77,7 +77,8 @@ type DecisionSnap struct {
 // visit somewhere else in the exploration.
 type PruneInfo struct {
 	// Decision is the kernel's decision point (Decision.Sys exposes the
-	// state fingerprint).
+	// state fingerprint). Its Since is empty unless the chooser reads
+	// the log (Reduced with SleepSets).
 	Decision sim.Decision
 	// Taken is the run's decision vector so far, excluding this point —
 	// the canonical identity of the path that reached the state. Valid
@@ -243,6 +244,10 @@ func (r *Reduced) Pick(d sim.Decision) int {
 	r.Taken = append(r.Taken, snap.Taken)
 	return snap.Taken
 }
+
+// ReadsSince reports whether Reduced reads Decision.Since: exactly when
+// sleep sets are on, since wake is the log's one reader.
+func (r *Reduced) ReadsSince() bool { return r.SleepSets }
 
 // wake discards sleep entries invalidated by the accesses executed
 // since the previous decision point.

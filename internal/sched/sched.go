@@ -35,6 +35,9 @@ func (r *Random) Pick(d sim.Decision) int {
 	return r.rng.Intn(len(d.Candidates))
 }
 
+// ReadsSince reports that Random does not read Decision.Since.
+func (*Random) ReadsSince() bool { return false }
+
 // Reseed rewinds the PRNG to the start of the stream for seed, so a
 // pooled worker replays seed after seed without reallocating the
 // chooser. Reseed(s) is equivalent to replacing the chooser with
@@ -61,6 +64,9 @@ func (c *RunToCompletion) Pick(d sim.Decision) int {
 	c.last = d.Candidates[0]
 	return 0
 }
+
+// ReadsSince reports that RunToCompletion does not read Decision.Since.
+func (*RunToCompletion) ReadsSince() bool { return false }
 
 // Rotate cycles through candidate processes, switching to the next
 // distinct process at every legal opportunity. Because the simulator
@@ -93,6 +99,9 @@ func (c *Rotate) Pick(d sim.Decision) int {
 	c.lastID = d.Candidates[best].ID()
 	return best
 }
+
+// ReadsSince reports that Rotate does not read Decision.Since.
+func (*Rotate) ReadsSince() bool { return false }
 
 // Stagger is the quantum-stagger adversary from the paper's Theorem 3
 // lower-bound proof (Sec. 4.1/Appendix A): it aligns processes'
@@ -172,6 +181,10 @@ func (s *Stagger) Pick(d sim.Decision) int {
 	return best
 }
 
+// ReadsSince reports that Stagger does not read Decision.Since: it
+// charges bursts by Decision.Step.
+func (*Stagger) ReadsSince() bool { return false }
+
 // Script replays a fixed decision sequence, then falls back to picking
 // candidate 0. It records the fan-out of every decision it makes, which
 // the exhaustive explorer in internal/check uses to enumerate schedules.
@@ -223,6 +236,9 @@ func (s *Script) Pick(d sim.Decision) int {
 	s.pos++
 	return i
 }
+
+// ReadsSince reports that Script does not read Decision.Since.
+func (*Script) ReadsSince() bool { return false }
 
 // BudgetedSwitch wraps an inner preference for "keep running the current
 // process" but spends a limited budget of deliberate switches at
@@ -336,3 +352,7 @@ func (b *BudgetedSwitch) Pick(d sim.Decision) int {
 	b.Taken = append(b.Taken, choice)
 	return choice
 }
+
+// ReadsSince reports that BudgetedSwitch does not read Decision.Since,
+// so its Prune hook sees an empty one.
+func (*BudgetedSwitch) ReadsSince() bool { return false }

@@ -51,6 +51,9 @@ func (u *Uniform) Pick(d sim.Decision) int {
 	return u.rng.IntN(len(d.Candidates))
 }
 
+// ReadsSince reports that Uniform does not read Decision.Since.
+func (*Uniform) ReadsSince() bool { return false }
+
 // Reseed rewinds the stream to the start for seed; equivalent to
 // replacing the chooser with NewUniform(seed).
 func (u *Uniform) Reseed(seed int64) {
@@ -107,6 +110,9 @@ func (m *Markov) Pick(d sim.Decision) int {
 	m.lastID = d.Candidates[idx].ID()
 	return idx
 }
+
+// ReadsSince reports that Markov does not read Decision.Since.
+func (*Markov) ReadsSince() bool { return false }
 
 // hop draws a candidate other than cur (when possible) with weight
 // PriBias^(priority-1).
@@ -207,6 +213,9 @@ func (n *Noisy) Pick(d sim.Decision) int {
 	n.lastID = d.Candidates[idx].ID()
 	return idx
 }
+
+// ReadsSince reports that Noisy does not read Decision.Since.
+func (*Noisy) ReadsSince() bool { return false }
 
 // rotatePick is the Rotate core: the candidate with the smallest ID
 // strictly greater than lastID, wrapping around.

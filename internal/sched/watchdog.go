@@ -60,6 +60,9 @@ func (w *Watchdog) Pick(d sim.Decision) int {
 	return w.Inner.Pick(d)
 }
 
+// ReadsSince reports whether the inner chooser reads Decision.Since.
+func (w *Watchdog) ReadsSince() bool { return sim.ReadsSince(w.Inner) }
+
 // Crashes implements sim.Crasher by delegation, so a watchdog-wrapped
 // crash injector still fires.
 func (w *Watchdog) Crashes(d sim.Decision) []*sim.Process {

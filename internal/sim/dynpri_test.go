@@ -64,48 +64,52 @@ func TestDynamicPriorityApplies(t *testing.T) {
 	}
 }
 
+// fig3DynamicPriorities builds four processes that run three rounds of
+// Fig. 3 consensus on fresh objects, changing priority between rounds.
+func fig3DynamicPriorities(ch sim.Chooser) (*sim.System, check.Verify) {
+	const n, rounds = 4, 3
+	sys := sim.New(sim.Config{Processors: 1, Quantum: unicons.MinQuantum, Chooser: ch, MaxSteps: 1 << 18})
+	objs := make([]*unicons.Object, rounds)
+	for r := range objs {
+		objs[r] = unicons.New(fmt.Sprintf("cons%d", r))
+	}
+	outs := make([][]mem.Word, n)
+	for i := 0; i < n; i++ {
+		i := i
+		p := sys.AddProcess(sim.ProcSpec{Processor: 0, Priority: 1 + i%2})
+		outs[i] = make([]mem.Word, rounds)
+		for r := 0; r < rounds; r++ {
+			r := r
+			// Rotate priorities between rounds: dynamic priorities.
+			p.AddInvocationPri(1+(i+r)%3, func(c *sim.Ctx) {
+				outs[i][r] = objs[r].Decide(c, mem.Word(i*10+r+1))
+			})
+		}
+	}
+	verify := func(runErr error) error {
+		if runErr != nil {
+			return fmt.Errorf("run failed: %w", runErr)
+		}
+		for r := 0; r < rounds; r++ {
+			for i := 1; i < n; i++ {
+				if outs[i][r] != outs[0][r] {
+					return fmt.Errorf("round %d disagreement: %v", r, outs)
+				}
+			}
+			if outs[0][r] == mem.Bottom {
+				return fmt.Errorf("round %d decided ⊥", r)
+			}
+		}
+		return nil
+	}
+	return sys, verify
+}
+
 // TestFig3UnderDynamicPriorities verifies the §5 claim that the Fig. 3
 // consensus algorithm is correct as stated in dynamic-priority systems:
 // processes change priority between repeated decides on fresh objects.
 func TestFig3UnderDynamicPriorities(t *testing.T) {
-	build := func(ch sim.Chooser) (*sim.System, check.Verify) {
-		const n, rounds = 4, 3
-		sys := sim.New(sim.Config{Processors: 1, Quantum: unicons.MinQuantum, Chooser: ch, MaxSteps: 1 << 18})
-		objs := make([]*unicons.Object, rounds)
-		for r := range objs {
-			objs[r] = unicons.New(fmt.Sprintf("cons%d", r))
-		}
-		outs := make([][]mem.Word, n)
-		for i := 0; i < n; i++ {
-			i := i
-			p := sys.AddProcess(sim.ProcSpec{Processor: 0, Priority: 1 + i%2})
-			outs[i] = make([]mem.Word, rounds)
-			for r := 0; r < rounds; r++ {
-				r := r
-				// Rotate priorities between rounds: dynamic priorities.
-				p.AddInvocationPri(1+(i+r)%3, func(c *sim.Ctx) {
-					outs[i][r] = objs[r].Decide(c, mem.Word(i*10+r+1))
-				})
-			}
-		}
-		verify := func(runErr error) error {
-			if runErr != nil {
-				return fmt.Errorf("run failed: %w", runErr)
-			}
-			for r := 0; r < rounds; r++ {
-				for i := 1; i < n; i++ {
-					if outs[i][r] != outs[0][r] {
-						return fmt.Errorf("round %d disagreement: %v", r, outs)
-					}
-				}
-				if outs[0][r] == mem.Bottom {
-					return fmt.Errorf("round %d decided ⊥", r)
-				}
-			}
-			return nil
-		}
-		return sys, verify
-	}
+	build := fig3DynamicPriorities
 	res := check.Fuzz(build, 500, check.Options{})
 	if !res.OK() {
 		t.Fatalf("violation: %+v", res.First())

@@ -21,6 +21,7 @@ func (s *System) Run() error {
 	}
 	s.ran = true
 	s.sealed = true
+	s.logSince = ReadsSince(s.cfg.Chooser)
 
 	// Collect each process's initial yield (thinking, or done for an
 	// empty program) by resuming its coroutine to the first park. After
@@ -127,9 +128,12 @@ func (s *System) crash(p *Process) {
 	}
 	s.clearHolder(p)
 	p.protected = false
+	s.candDirty = true
 	// A crash is dependent with everything: record it in the access log
 	// so footprint-aware choosers never commute statements across it.
-	s.since = append(s.since, Access{Proc: p.id, Processor: p.processor, Global: true})
+	if s.logSince {
+		s.since = append(s.since, Access{Proc: p.id, Processor: p.processor, Global: true})
+	}
 	s.observeSched(SchedEvent{Kind: SchedCrash, Proc: p, Step: s.steps})
 	// Unwind the coroutine: a non-done process is parked awaiting a
 	// grant, and an aborted pass parks exactly once more with yieldDone.
@@ -141,18 +145,23 @@ func (s *System) crash(p *Process) {
 
 // candidates returns, in deterministic (process ID) order, every process
 // that may legally execute the next atomic statement under Axioms 1–2.
-// The returned slice is the system's reusable candidate buffer: valid
-// until the next candidates call, never retained by choosers.
+// The returned slice is the system's reusable candidate buffer, never
+// modified or retained by choosers. It is rebuilt only after a change to
+// scheduling state marked it dirty (candDirty), and otherwise returned
+// as the previous decision left it.
 func (s *System) candidates() []*Process {
-	s.candBuf = s.candBuf[:0]
-	for i := range s.byProc {
-		s.processorCandidates(i)
+	if s.candDirty {
+		s.candDirty = false
+		s.candBuf = s.candBuf[:0]
+		for i := range s.byProc {
+			s.candBuf = s.processorCandidates(s.candBuf, i)
+		}
 	}
 	return s.candBuf
 }
 
 // processorCandidates appends the schedulable set on processor i to
-// s.candBuf:
+// buf and returns the extended slice:
 //
 //   - Axiom 1: only processes at the maximal ready priority may run;
 //     thinking processes of strictly higher priority may arrive (and
@@ -164,7 +173,7 @@ func (s *System) candidates() []*Process {
 //     only if no protected holder blocks the level; arrivals at lower
 //     priorities are unobservable until they could run, so they are not
 //     candidates.
-func (s *System) processorCandidates(i int) {
+func (s *System) processorCandidates(buf []*Process, i int) []*Process {
 	maxReady := 0
 	for _, p := range s.byProc[i] {
 		if p.state == stateRunnable && p.pri > maxReady {
@@ -174,10 +183,10 @@ func (s *System) processorCandidates(i int) {
 	if maxReady == 0 {
 		for _, p := range s.byProc[i] {
 			if p.state == stateThinking {
-				s.candBuf = append(s.candBuf, p)
+				buf = append(buf, p)
 			}
 		}
-		return
+		return buf
 	}
 	holder := s.holder(i, maxReady)
 	blocked := holder != nil && holder.state == stateRunnable && holder.protected
@@ -185,14 +194,15 @@ func (s *System) processorCandidates(i int) {
 		switch {
 		case p.state == stateRunnable && p.pri == maxReady:
 			if !blocked || p == holder {
-				s.candBuf = append(s.candBuf, p)
+				buf = append(buf, p)
 			}
 		case p.state == stateThinking && p.pri > maxReady:
-			s.candBuf = append(s.candBuf, p)
+			buf = append(buf, p)
 		case p.state == stateThinking && p.pri == maxReady && !blocked:
-			s.candBuf = append(s.candBuf, p)
+			buf = append(buf, p)
 		}
 	}
+	return buf
 }
 
 // holder returns the quantum-slot holder at (processor, priority), or
@@ -226,7 +236,12 @@ func (s *System) clearHolder(p *Process) {
 
 // begin does the scheduling bookkeeping that precedes p's granted
 // statement: its arrival if it was thinking, the same-priority
-// preemption of its level's quantum holder, and the holder slot.
+// preemption of its level's quantum holder, and the holder slot. The
+// slot changes hands at every arrival (the end of p's previous
+// invocation freed p's slot), at every preemption, and when p takes
+// over a slot freed by its holder's invocation end. Each of these may
+// change the candidates, so each marks the list dirty; a grant to the
+// level's holder changes no scheduling state.
 func (s *System) begin(p *Process) {
 	i, lvl := p.processor, p.pri
 	p.arrived = p.state == stateThinking
@@ -237,24 +252,27 @@ func (s *System) begin(p *Process) {
 		// is already thinking/done) still completes in consume.
 		p.state = stateRunnable
 	}
-	if h := s.holder(i, lvl); h != nil && h != p && h.state == stateRunnable {
-		// Same-priority preemption of the current quantum holder. Per
-		// Axiom 2 the victim is guaranteed Q of its own statements once
-		// it resumes (unless its invocation ends first).
-		h.protected = s.cfg.Quantum > 0
-		h.sinceResume = 0
-		h.preemptions++
-		h.fpDirty = true
-		s.observeSched(SchedEvent{Kind: SchedPreempt, Proc: h, By: p, Step: s.steps})
+	if h := s.holder(i, lvl); h != p {
+		if h != nil && h.state == stateRunnable {
+			// Same-priority preemption of the current quantum holder. Per
+			// Axiom 2 the victim is guaranteed Q of its own statements
+			// once it resumes (unless its invocation ends first).
+			h.protected = s.cfg.Quantum > 0
+			h.sinceResume = 0
+			h.preemptions++
+			h.fpDirty = true
+			s.observeSched(SchedEvent{Kind: SchedPreempt, Proc: h, By: p, Step: s.steps})
+		}
+		s.setHolder(i, lvl, p)
+		s.candDirty = true
 	}
-	s.setHolder(i, lvl, p)
 	p.granted = true
 }
 
 // finish does the bookkeeping that follows p's granted statement, given
 // the yield p parked with after it: statement counters, quantum
-// protection, the observation hash, the access log, the statement event
-// and the yield itself.
+// protection, the observation hash, the access log (kept only for a
+// chooser that reads it), the statement event and the yield itself.
 func (s *System) finish(p *Process, kind yieldKind, fp mem.Footprint) {
 	p.granted = false
 	p.stmtsTotal++
@@ -262,6 +280,7 @@ func (s *System) finish(p *Process, kind yieldKind, fp mem.Footprint) {
 	p.sinceResume++
 	if p.protected && p.sinceResume >= s.cfg.Quantum {
 		p.protected = false
+		s.candDirty = true
 	}
 	p.lastEvent.Step = s.steps
 	s.steps++
@@ -271,12 +290,14 @@ func (s *System) finish(p *Process, kind yieldKind, fp mem.Footprint) {
 	// completions additionally change scheduler state, so they are
 	// flagged dependent-with-everything.
 	p.obsHash = mem.Mix(mem.Mix(mem.Mix(p.obsHash, uint64(p.lastEvent.Op)), p.lastEvent.Fp.Obj), p.lastEvent.Value)
-	s.since = append(s.since, Access{
-		Proc:      p.id,
-		Processor: p.processor,
-		Fp:        p.lastEvent.Fp,
-		Global:    p.arrived || kind != yieldStmt,
-	})
+	if s.logSince {
+		s.since = append(s.since, Access{
+			Proc:      p.id,
+			Processor: p.processor,
+			Fp:        p.lastEvent.Fp,
+			Global:    p.arrived || kind != yieldStmt,
+		})
+	}
 	if s.cfg.Observer != nil {
 		s.cfg.Observer.OnStatement(p.lastEvent)
 	}
@@ -307,15 +328,20 @@ func (s *System) settle(p *Process, kind yieldKind, fp mem.Footprint) bool {
 	return again
 }
 
-// consume updates kernel-side state from a process's yield.
+// consume updates kernel-side state from a process's yield. A yield
+// between invocations or at program end changes scheduling state (the
+// process's state, and possibly its holder slot, protection and
+// priority), so it marks the candidate list dirty. A mid-invocation
+// yield follows a granted statement, whose begin already made the
+// process runnable, so it changes only the pending footprint.
 func (s *System) consume(p *Process, kind yieldKind, fp mem.Footprint) {
 	p.fpDirty = true
 	switch kind {
 	case yieldStmt:
-		p.state = stateRunnable
 		p.pending = fp
 		p.pendingKnown = true
 	case yieldThinking, yieldDone:
+		s.candDirty = true
 		wasRunning := p.state == stateRunnable
 		p.pendingKnown = false
 		if kind == yieldThinking {

@@ -50,6 +50,16 @@
 // switch, and a handoff costs two — no goroutines, channels, or
 // scheduler trips either way.
 //
+// The kernel keeps per statement only what a run reads. The access log
+// behind Decision.Since is kept only when the run's chooser reads it
+// (see ReadsSince). The candidate list is kept from one decision to the
+// next and rebuilt only after scheduling state changed: an arrival, a
+// same-priority preemption or other change of a level's holder, a lapse
+// of quantum protection, the end of an invocation or program, or a
+// crash. A process spinning alone at its level therefore runs statement
+// after statement with no rebuild and no Pick, and, under a chooser
+// that does not read the log, no log entry.
+//
 // A System can be pooled across runs: builders that register state-reset
 // hooks with OnReset make the system Reusable, and Reset restores it to
 // its pre-run state (rewinding every process coroutine to the top of its
@@ -68,8 +78,10 @@ type Decision struct {
 	// Candidates holds the legally runnable processes; len ≥ 2 (the
 	// kernel resolves singleton decisions itself) except for Decisions
 	// passed to Crasher.Crashes, which are delivered at every scheduling
-	// step and may have any number of candidates. The slice is only valid
-	// for the duration of the call; choosers that retain it must copy.
+	// step and may have any number of candidates. The slice is the
+	// kernel's candidate buffer, reused across decisions: it must not
+	// be modified, and is only valid for the duration of the call;
+	// choosers that retain it must copy.
 	Candidates []*Process
 	// Procs holds every registered process in ID order, including done
 	// and crashed ones; fault-injecting choosers use it to crash
@@ -83,8 +95,10 @@ type Decision struct {
 	Sys *System
 	// Since holds the accesses executed since the previous Pick call
 	// (including statements the kernel granted without a decision point,
-	// and crash events), oldest first. The slice is only valid for the
-	// duration of the call; choosers that retain it must copy.
+	// and crash events), oldest first. It is empty when the run's
+	// chooser reports through ReadsSince that it does not read it. The
+	// slice is only valid for the duration of the call; choosers that
+	// retain it must copy.
 	Since []Access
 }
 
@@ -129,8 +143,25 @@ const PickAbort = -1
 // Pick synchronously during Run, often on the coroutine of the process
 // that executed the previous statement; a panic escapes Run with its
 // value.
+//
+// A chooser may additionally implement ReadsSince() bool, which the
+// kernel asks once per Run, as it asks a Crasher's CrashesArmed: when
+// it reports false the kernel keeps no access log for the run and
+// Decision.Since stays empty. A chooser without the method gets the
+// log. Wrappers report what their inner chooser reports (see the
+// ReadsSince function).
 type Chooser interface {
 	Pick(d Decision) int
+}
+
+// ReadsSince reports whether ch reads Decision.Since: the value of its
+// ReadsSince method, or true for a chooser without one. Chooser
+// wrappers implement the method by forwarding through this function.
+func ReadsSince(ch Chooser) bool {
+	if r, ok := ch.(interface{ ReadsSince() bool }); ok {
+		return r.ReadsSince()
+	}
+	return true
 }
 
 // Crasher is an optional Chooser extension implementing crash-stop
@@ -174,6 +205,9 @@ type FirstChooser struct{}
 
 // Pick implements Chooser.
 func (FirstChooser) Pick(Decision) int { return 0 }
+
+// ReadsSince reports that FirstChooser does not read Decision.Since.
+func (FirstChooser) ReadsSince() bool { return false }
 
 // Config parameterizes a simulated system.
 type Config struct {
@@ -227,9 +261,11 @@ type System struct {
 
 	resetHooks []func()
 
-	// candBuf is the reusable candidate buffer candidates() fills each
-	// scheduling step.
-	candBuf []*Process
+	// candBuf is the reusable candidate buffer candidates() fills;
+	// candDirty marks it stale after a change to scheduling state, so
+	// it is rebuilt at the next decision rather than at every one.
+	candBuf   []*Process
+	candDirty bool
 
 	// memFP is the incremental memory-state fingerprint: the XOR of
 	// every shared object's StateHash, updated by the Ctx accessors as
@@ -242,8 +278,10 @@ type System struct {
 	// lazily.
 	procFP uint64
 	// since accumulates executed accesses between decision points for
-	// Decision.Since.
-	since []Access
+	// Decision.Since when logSince is set: the run's chooser reads the
+	// log (ReadsSince, resolved once per Run).
+	since    []Access
+	logSince bool
 
 	// crasher is the run's armed crash injector, or nil.
 	crasher Crasher

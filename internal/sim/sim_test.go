@@ -161,12 +161,13 @@ func TestQuantumProtection(t *testing.T) {
 	}
 }
 
-// TestMultiprocessorIsolation checks that processes on different
-// processors interleave freely (no cross-processor preemption rules).
-func TestMultiprocessorIsolation(t *testing.T) {
-	sys := sim.New(sim.Config{Processors: 2, Quantum: 3, Chooser: sched.NewRandom(1)})
+// sharedRegisterSystem builds one process on each of two processors,
+// both writing and reading one shared register; done[i] reports that
+// process i finished.
+func sharedRegisterSystem(ch sim.Chooser) (sys *sim.System, done []bool) {
+	sys = sim.New(sim.Config{Processors: 2, Quantum: 3, Chooser: ch})
 	r := mem.NewReg("shared")
-	done := make([]bool, 2)
+	done = make([]bool, 2)
 	for i := 0; i < 2; i++ {
 		i := i
 		sys.AddProcess(sim.ProcSpec{Processor: i, Priority: 1}).
@@ -178,6 +179,13 @@ func TestMultiprocessorIsolation(t *testing.T) {
 				done[i] = true
 			})
 	}
+	return sys, done
+}
+
+// TestMultiprocessorIsolation checks that processes on different
+// processors interleave freely (no cross-processor preemption rules).
+func TestMultiprocessorIsolation(t *testing.T) {
+	sys, done := sharedRegisterSystem(sched.NewRandom(1))
 	if err := sys.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
