@@ -252,7 +252,7 @@ func buildLockCounter(m Meta, ch sim.Chooser, obs sim.Observer) (*sim.System, fu
 			})
 	}
 	sys.OnReset(func() {
-		ctr = baseline.NewLockCounter("lc", 0)
+		ctr.Reset()
 		clear(completed)
 	})
 	verify := func(runErr error) error {

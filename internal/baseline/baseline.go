@@ -101,6 +101,13 @@ func (l *LockCounter) Inc(c *sim.Ctx) mem.Word {
 	return v
 }
 
+// Reset restores the lock and the counter to their initial state, for
+// pooled reruns (sim.System.OnReset hooks). Must not be called mid-run.
+func (l *LockCounter) Reset() {
+	l.lock.Reset()
+	l.value.Reset()
+}
+
 // Peek returns the current value. Post-run inspection only.
 func (l *LockCounter) Peek() mem.Word {
 	//repro:allow post-run inspection helper; reads the counter after the run completes

@@ -99,7 +99,11 @@ import (
 // Verify checks the outcome of one completed run. runErr is the error
 // returned by System.Run (nil, ErrStepLimit, or a process panic); the
 // verifier decides what constitutes a violation and returns a non-nil
-// error for one.
+// error for one. A verifier may read the system's fingerprint only when
+// the exploration prunes by it (Options.Reduction fingerprint or full):
+// every other exploration declines the upkeep on the systems it builds
+// (sim.System.SkipFingerprint), and a read there panics, which the
+// explorer reports as a violation.
 type Verify func(runErr error) error
 
 // Builder constructs a fresh system (with fresh shared objects) wired to
@@ -107,7 +111,9 @@ type Verify func(runErr error) error
 //
 // Builders must be reentrant: explorers call them from Parallelism
 // concurrent workers, so all per-run state must be created inside the
-// builder (see the package comment).
+// builder (see the package comment). The explorer owns the systems it
+// builds: it keeps their fingerprint upkeep only when it prunes by
+// fingerprint (see Verify).
 type Builder func(ch sim.Chooser) (*sim.System, Verify)
 
 // ProgressInfo is a snapshot of a running exploration, delivered to

@@ -383,13 +383,18 @@ func (s *chooserSlot) CrashesArmed() bool {
 // sys is the last system built: the pooled one, or the latest
 // build-per-run one, which the runner closes when it builds the next
 // (its caller has judged it by then) or in close.
+//
+// fingerprints keeps the fingerprint upkeep on the systems the runner
+// builds. Only an exploration that prunes by fingerprint reads it, so
+// every other runner declines it (sim.System.SkipFingerprint).
 type runner struct {
-	build  Builder
-	slot   chooserSlot
-	sys    *sim.System
-	verify Verify
-	probed bool
-	pooled bool
+	build        Builder
+	slot         chooserSlot
+	sys          *sim.System
+	verify       Verify
+	probed       bool
+	pooled       bool
+	fingerprints bool
 }
 
 func newRunner(build Builder) *runner { return &runner{build: build} }
@@ -409,6 +414,9 @@ func (r *runner) run(ch sim.Chooser) (*sim.System, Verify, error) {
 		r.pooled = r.sys.Reusable()
 	} else {
 		r.sys, r.verify = r.build(ch)
+	}
+	if !r.fingerprints {
+		r.sys.SkipFingerprint()
 	}
 	return r.sys, r.verify, r.sys.Run()
 }
@@ -430,9 +438,11 @@ func (r *runner) invalidate() {
 
 // addRunner returns a worker's runner and registers it with the
 // collector, so the explorer closes every system its workers built once
-// they have all returned (closeRunners).
+// they have all returned (closeRunners). The runner keeps the
+// fingerprint upkeep only when the exploration prunes by fingerprint.
 func (c *collector) addRunner(build Builder) *runner {
 	r := newRunner(build)
+	r.fingerprints = c.opts.Reduction.fingerprints()
 	c.mu.Lock()
 	c.runners = append(c.runners, r)
 	c.mu.Unlock()

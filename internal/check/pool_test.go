@@ -12,41 +12,57 @@ import (
 // TestPooledReplayAllocFree pins the tentpole allocation guarantee: the
 // steady-state replay loop — Script reset, pooled System reset, run,
 // verify — performs zero heap allocations per schedule for the pinned
-// unicons workload. A regression here (a forgotten buffer reset, a
-// fresh slice or map per run, a new closure on the hot path) is the
-// kind of cost that silently erodes explorer throughput.
+// workloads: unicons, and lockcounter on a schedule that completes,
+// whose OnReset hook resets its counter in place. A regression here (a
+// forgotten buffer reset, a fresh slice or map per run, a new closure
+// on the hot path) is the kind of cost that silently erodes explorer
+// throughput.
 func TestPooledReplayAllocFree(t *testing.T) {
-	build, err := BuilderFor(artifact.Meta{Workload: "unicons", N: 3, V: 1, Quantum: 8, MaxSteps: 1 << 16})
-	if err != nil {
-		t.Fatal(err)
+	rows := []struct {
+		name      string
+		meta      artifact.Meta
+		warmup    [][]int
+		decisions []int
+	}{
+		{"unicons", artifact.Meta{Workload: "unicons", N: 3, V: 1, Quantum: 8, MaxSteps: 1 << 16},
+			[][]int{nil, {1}, {2}, {0, 1}, {1, 2, 1}}, []int{1, 2, 1}},
+		{"lockcounter", artifact.Meta{Workload: "lockcounter", N: 2, V: 2, Quantum: 2, MaxSteps: 2000},
+			[][]int{nil, {1}, {0, 0, 0, 0, 1}}, []int{1}},
 	}
-	r := newRunner(build)
-	script := &sched.Script{}
-	replay := func(decisions []int) error {
-		script.Reset(decisions)
-		_, verify, runErr := r.run(script)
-		return verify(runErr)
-	}
-	// Warm up: probe-build the pooled system and grow every reusable
-	// buffer (fan-out records, kernel access logs, candidate scratch)
-	// to its steady-state capacity.
-	warmup := [][]int{nil, {1}, {2}, {0, 1}, {1, 2, 1}}
-	for _, dec := range warmup {
-		if verr := replay(dec); verr != nil {
-			t.Fatalf("warmup replay %v: unexpected violation: %v", dec, verr)
-		}
-	}
-	if !r.pooled {
-		t.Fatal("unicons workload did not produce a reusable system; pooling is off")
-	}
-	decisions := []int{1, 2, 1}
-	allocs := testing.AllocsPerRun(200, func() {
-		if verr := replay(decisions); verr != nil {
-			t.Fatalf("replay %v: unexpected violation: %v", decisions, verr)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("pooled replay loop allocates %v objects per schedule; want 0", allocs)
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			build, err := BuilderFor(row.meta)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := newRunner(build)
+			defer r.close()
+			script := &sched.Script{}
+			replay := func(decisions []int) error {
+				script.Reset(decisions)
+				_, verify, runErr := r.run(script)
+				return verify(runErr)
+			}
+			// Warm up: probe-build the pooled system and grow every reusable
+			// buffer (fan-out records, kernel access logs, candidate scratch)
+			// to its steady-state capacity.
+			for _, dec := range row.warmup {
+				if verr := replay(dec); verr != nil {
+					t.Fatalf("warmup replay %v: unexpected violation: %v", dec, verr)
+				}
+			}
+			if !r.pooled {
+				t.Fatalf("%s workload did not produce a reusable system; pooling is off", row.name)
+			}
+			allocs := testing.AllocsPerRun(200, func() {
+				if verr := replay(row.decisions); verr != nil {
+					t.Fatalf("replay %v: unexpected violation: %v", row.decisions, verr)
+				}
+			})
+			if allocs != 0 {
+				t.Fatalf("pooled replay loop allocates %v objects per schedule; want 0", allocs)
+			}
+		})
 	}
 }
 

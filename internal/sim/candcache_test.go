@@ -105,6 +105,17 @@ var lockstepChoosers = []struct {
 
 var lockstepSeeds = []int64{1, 2, 3, 4}
 
+// workloadRows configures every registered artifact workload for the
+// tests that run each one on a pooled system.
+var workloadRows = map[string]artifact.Meta{
+	"unicons":     {Workload: "unicons", N: 3, V: 2, Quantum: 2},
+	"multicons":   {Workload: "multicons", P: 2, M: 2, V: 2, Quantum: 4, MaxSteps: 1 << 14},
+	"hybridcas":   {Workload: "hybridcas", N: 3, V: 2, Quantum: 4},
+	"universal":   {Workload: "universal", N: 3, V: 2, Quantum: 4, MaxSteps: 1 << 14},
+	"lockcounter": {Workload: "lockcounter", N: 2, V: 2, Quantum: 2, MaxSteps: 2000},
+	"soakmix":     {Workload: "soakmix", N: 3, V: 2, Quantum: 8, WorkSeed: 5},
+}
+
 // lockstepHooks are the two ways a check sees decisions.
 var lockstepHooks = []struct {
 	name string
@@ -132,16 +143,8 @@ func newLockstepChooser(t *testing.T, spec *sched.ModelSpec) sim.Chooser {
 // sim tests' dynamic-priority and two-processor builders one run at a
 // time.
 func TestCandidateCacheLockstep(t *testing.T) {
-	workloads := map[string]artifact.Meta{
-		"unicons":     {Workload: "unicons", N: 3, V: 2, Quantum: 2},
-		"multicons":   {Workload: "multicons", P: 2, M: 2, V: 2, Quantum: 4, MaxSteps: 1 << 14},
-		"hybridcas":   {Workload: "hybridcas", N: 3, V: 2, Quantum: 4},
-		"universal":   {Workload: "universal", N: 3, V: 2, Quantum: 4, MaxSteps: 1 << 14},
-		"lockcounter": {Workload: "lockcounter", N: 2, V: 2, Quantum: 2, MaxSteps: 2000},
-		"soakmix":     {Workload: "soakmix", N: 3, V: 2, Quantum: 8, WorkSeed: 5},
-	}
 	for _, name := range artifact.Workloads() {
-		meta, ok := workloads[name]
+		meta, ok := workloadRows[name]
 		if !ok {
 			t.Errorf("registered workload %q has no lockstep row", name)
 			continue

@@ -38,7 +38,13 @@ import "repro/internal/mem"
 // reads (Process.Preemptions, Process.MaxInvStmts of completed
 // invocations) are deliberately excluded: including them would split
 // states that are behaviorally identical.
+//
+// The upkeep is kept by default, since code may fingerprint a system
+// from a chooser or after Run returns. An owner that knows nothing
+// reads it declines it with SkipFingerprint; Fingerprint then panics
+// rather than return a stale value.
 func (s *System) Fingerprint() uint64 {
+	s.requireFingerprint()
 	for _, p := range s.procs {
 		if !p.fpDirty {
 			continue
@@ -78,8 +84,27 @@ func (s *System) procContribution(p *Process) uint64 {
 
 // MemFingerprint returns the memory-substrate component of the system
 // fingerprint alone: the XOR of every touched shared object's
-// StateHash (registers, CAS words, and consensus decision state).
-func (s *System) MemFingerprint() uint64 { return s.memFP }
+// StateHash (registers, CAS words, and consensus decision state). Like
+// Fingerprint, it panics after SkipFingerprint.
+func (s *System) MemFingerprint() uint64 {
+	s.requireFingerprint()
+	return s.memFP
+}
+
+// SkipFingerprint is the owner's declaration that nothing reads the
+// system's fingerprint, neither a chooser nor code after Run: from then
+// on the kernel keeps neither the observation hashes nor the memory
+// state deltas behind it, and Fingerprint and MemFingerprint panic.
+// Declare it once, before the first Run; it lasts across Reset. The
+// explorers in internal/check decline it unless they prune by
+// fingerprint, and artifact.Replay always does.
+func (s *System) SkipFingerprint() { s.noFingerprint = true }
+
+func (s *System) requireFingerprint() {
+	if s.noFingerprint {
+		panic("sim: fingerprint read on a system whose owner declined its upkeep (SkipFingerprint)")
+	}
+}
 
 // fingerprintSeed domain-separates system fingerprints from raw object
 // ids.

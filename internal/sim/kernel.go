@@ -23,13 +23,19 @@ func (s *System) Run() error {
 	s.sealed = true
 	s.logSince = ReadsSince(s.cfg.Chooser)
 
-	// Collect each process's initial yield (thinking, or done for an
-	// empty program) by resuming its coroutine to the first park. After
-	// this point the invariant holds: every non-done process is parked
-	// awaiting a grant.
+	// Take each process's first yield of the pass without resuming it:
+	// thinking if it has invocations, done if it has none, or if Close
+	// tore its coroutine down. After this point the invariant holds:
+	// every non-done process is fresh (its coroutine unstarted or at its
+	// top-of-loop park, entered by its first grant) or parked awaiting a
+	// grant.
 	for _, p := range s.procs {
-		k, fp := p.resume(grantRun)
-		s.consume(p, k, fp)
+		kind := yieldDone
+		if len(p.invocations) > 0 && !s.closed {
+			kind = yieldThinking
+		}
+		p.fresh = true
+		s.consume(p, kind, mem.Footprint{})
 	}
 
 	s.crasher, _ = s.cfg.Chooser.(Crasher)
@@ -135,9 +141,12 @@ func (s *System) crash(p *Process) {
 		s.since = append(s.since, Access{Proc: p.id, Processor: p.processor, Global: true})
 	}
 	s.observeSched(SchedEvent{Kind: SchedCrash, Proc: p, Step: s.steps})
-	// Unwind the coroutine: a non-done process is parked awaiting a
-	// grant, and an aborted pass parks exactly once more with yieldDone.
-	p.resume(grantAbort)
+	// Unwind the coroutine: a non-done process is fresh, and needs no
+	// unwinding, or parked awaiting a grant, and an aborted pass parks
+	// exactly once more with yieldDone.
+	if !p.fresh {
+		p.resume(grantAbort)
+	}
 	p.state = stateCrashed
 	p.crashed = true
 	p.fpDirty = true
@@ -271,8 +280,10 @@ func (s *System) begin(p *Process) {
 
 // finish does the bookkeeping that follows p's granted statement, given
 // the yield p parked with after it: statement counters, quantum
-// protection, the observation hash, the access log (kept only for a
-// chooser that reads it), the statement event and the yield itself.
+// protection, the observation hash (kept unless the owner declined the
+// fingerprint upkeep), the access log (kept only for a chooser that
+// reads it), the statement event (assembled only for an Observer) and
+// the yield itself.
 func (s *System) finish(p *Process, kind yieldKind, fp mem.Footprint) {
 	p.granted = false
 	p.stmtsTotal++
@@ -282,24 +293,26 @@ func (s *System) finish(p *Process, kind yieldKind, fp mem.Footprint) {
 		p.protected = false
 		s.candDirty = true
 	}
-	p.lastEvent.Step = s.steps
+	step := s.steps
 	s.steps++
 	// Fold the executed statement into the process's observation hash
 	// (its stand-in for opaque local state in System.Fingerprint) and
 	// into the inter-decision access log. Arrivals and invocation
 	// completions additionally change scheduler state, so they are
 	// flagged dependent-with-everything.
-	p.obsHash = mem.Mix(mem.Mix(mem.Mix(p.obsHash, uint64(p.lastEvent.Op)), p.lastEvent.Fp.Obj), p.lastEvent.Value)
+	if !s.noFingerprint {
+		p.obsHash = mem.Mix(mem.Mix(mem.Mix(p.obsHash, uint64(p.lastOp)), p.lastFp.Obj), p.lastVal)
+	}
 	if s.logSince {
 		s.since = append(s.since, Access{
 			Proc:      p.id,
 			Processor: p.processor,
-			Fp:        p.lastEvent.Fp,
+			Fp:        p.lastFp,
 			Global:    p.arrived || kind != yieldStmt,
 		})
 	}
 	if s.cfg.Observer != nil {
-		s.cfg.Observer.OnStatement(p.lastEvent)
+		s.cfg.Observer.OnStatement(StmtEvent{Proc: p, Op: p.lastOp, Object: p.lastObj, Value: p.lastVal, Step: step, Fp: p.lastFp})
 	}
 	s.consume(p, kind, fp)
 }
@@ -381,13 +394,13 @@ func (s *System) observeSched(ev SchedEvent) {
 }
 
 // abortAll unwinds every live process coroutine. It relies on the kernel
-// invariant that every non-done process is parked awaiting a grant.
-// Crashed processes were already unwound by crash.
+// invariant that every non-done process is fresh, and so needs no
+// unwinding, or parked awaiting a grant. Crashed processes were already
+// unwound by crash.
 func (s *System) abortAll() {
 	for _, p := range s.procs {
 		for p.state != stateDone && p.state != stateCrashed {
-			kind, _ := p.resume(grantAbort)
-			if kind == yieldDone {
+			if p.fresh || p.resume(grantAbort) == yieldDone {
 				p.state = stateDone
 				p.fpDirty = true
 			}

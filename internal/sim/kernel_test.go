@@ -2,7 +2,9 @@ package sim
 
 import (
 	"errors"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/mem"
 )
@@ -153,12 +155,27 @@ func uniconsSystem(cfg Config, n int) *System {
 	return sys
 }
 
+// unfinished counts the processes of sys that had not completed their
+// programs when the run ended.
+func unfinished(sys *System) int64 {
+	n := int64(0)
+	for _, p := range sys.procs {
+		if p.invIndex < len(p.invocations) {
+			n++
+		}
+	}
+	return n
+}
+
 // TestCoroutineSwitchesFollowHandoffs checks that the kernel resumes a
-// process coroutine only to start it, to hand it the processor, or to
-// unwind it: at most 2N resumes plus one per handoff, however many
-// statements a process runs in a row. Under the seeded uniform picks
-// the lock-based run starves, spinning its high-priority process
-// through the whole step budget, and the unicons run completes.
+// process coroutine only to hand it the processor or to unwind it. With
+// no crash injector armed, a completed run resumes exactly once per
+// handoff: Run takes each process's first yield without resuming it,
+// and a process that keeps the processor continues without a switch.
+// An aborted run resumes at most once more per process still live at
+// its end, to unwind it. Under the seeded uniform picks the lock-based
+// run starves, spinning its high-priority process through the whole
+// step budget, and the unicons run completes.
 func TestCoroutineSwitchesFollowHandoffs(t *testing.T) {
 	cases := []struct {
 		name     string
@@ -183,12 +200,137 @@ func TestCoroutineSwitchesFollowHandoffs(t *testing.T) {
 			if starved := errors.Is(runErr, ErrStepLimit); starved != tc.starving || (!starved && runErr != nil) {
 				t.Fatalf("Run = %v, want starving %v", runErr, tc.starving)
 			}
-			n := int64(len(sys.procs))
-			if limit := 2*n + obs.n; sys.resumes > limit {
-				t.Fatalf("%d coroutine resumes for %d statements, want at most 2N + %d handoffs = %d",
-					sys.resumes, sys.steps, obs.n, limit)
+			lo, hi := obs.n, obs.n
+			if runErr != nil {
+				hi += unfinished(sys)
+			}
+			if sys.resumes < lo || sys.resumes > hi {
+				t.Fatalf("%d coroutine resumes for %d statements and %d handoffs, want %d to %d",
+					sys.resumes, sys.steps, obs.n, lo, hi)
 			}
 			t.Logf("%d statements, %d handoffs, %d resumes", sys.steps, obs.n, sys.resumes)
 		})
+	}
+}
+
+// crashAll is a crash injector that halts every process at the first
+// decision of a run.
+type crashAll struct{ fired bool }
+
+func (c *crashAll) Pick(Decision) int { return 0 }
+
+func (c *crashAll) Crashes(d Decision) []*Process {
+	if c.fired {
+		return nil
+	}
+	c.fired = true
+	return d.Procs
+}
+
+// TestFirstDecisionEndsResumeNothing pins the first-yield protocol: Run
+// takes each process's first yield without resuming its coroutine, so a
+// run that ends at its first decision, by PickAbort or by crashing
+// every process, resumes no coroutine, and leaves no process live.
+func TestFirstDecisionEndsResumeNothing(t *testing.T) {
+	cases := []struct {
+		name    string
+		build   func(Config) *System
+		chooser func() Chooser
+		want    error
+	}{
+		{"unicons/abort", func(cfg Config) *System { return uniconsSystem(cfg, 3) },
+			func() Chooser { return ChooserFunc(func(Decision) int { return PickAbort }) }, ErrPickAbort},
+		{"lockcounter/abort", func(cfg Config) *System { return lockCounterSystem(cfg, 2, 2) },
+			func() Chooser { return ChooserFunc(func(Decision) int { return PickAbort }) }, ErrPickAbort},
+		{"unicons/crash", func(cfg Config) *System { return uniconsSystem(cfg, 3) },
+			func() Chooser { return &crashAll{} }, nil},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			sys := tc.build(Config{Processors: 1, Quantum: 2, Chooser: tc.chooser()})
+			defer sys.Close()
+			if err := sys.Run(); !errors.Is(err, tc.want) || (tc.want == nil && err != nil) {
+				t.Fatalf("Run = %v, want %v", err, tc.want)
+			}
+			if sys.resumes != 0 || sys.steps != 0 {
+				t.Fatalf("%d resumes and %d statements, want none", sys.resumes, sys.steps)
+			}
+			for _, p := range sys.procs {
+				if p.Live() {
+					t.Errorf("%s still live after the run ended", p.Name())
+				}
+			}
+		})
+	}
+}
+
+// TestRunAfterCloseEndsAtOnce checks that a closed system reruns to an
+// immediate, clean end: Reset and Run after Close execute no statement
+// and return nil, whether Close followed a completed run, a run aborted
+// before any coroutine started, or no run at all.
+func TestRunAfterCloseEndsAtOnce(t *testing.T) {
+	cases := []struct {
+		name    string
+		chooser Chooser
+		runs    int
+	}{
+		{"after a completed run", uniformPick(3), 1},
+		{"after a first-decision abort", ChooserFunc(func(Decision) int { return PickAbort }), 1},
+		{"before any run", uniformPick(3), 0},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			sys := uniconsSystem(Config{Processors: 1, Quantum: 8, Chooser: tc.chooser}, 3)
+			for i := 0; i < tc.runs; i++ {
+				_ = sys.Run() // the runs before Close are not under test
+			}
+			sys.Close()
+			sys.Reset()
+			done := make(chan error, 1)
+			go func() { done <- sys.Run() }()
+			select {
+			case err := <-done:
+				if err != nil || sys.Steps() != 0 {
+					t.Fatalf("Run after Close = %v after %d statements, want nil after 0", err, sys.Steps())
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("Run after Close did not return")
+			}
+		})
+	}
+}
+
+// TestSkipFingerprintPanics checks the upkeep contract: once the owner
+// declines the fingerprint upkeep, Fingerprint and MemFingerprint panic
+// rather than return a stale value, after Reset too.
+func TestSkipFingerprintPanics(t *testing.T) {
+	sys := uniconsSystem(Config{Processors: 1, Quantum: 8, Chooser: uniformPick(5)}, 3)
+	defer sys.Close()
+	sys.SkipFingerprint()
+	reads := []struct {
+		name string
+		read func() uint64
+	}{
+		{"Fingerprint", sys.Fingerprint},
+		{"MemFingerprint", sys.MemFingerprint},
+	}
+	for run := 0; run < 2; run++ {
+		if run > 0 {
+			sys.Reset()
+		}
+		if err := sys.Run(); err != nil {
+			t.Fatalf("run %d: %v", run, err)
+		}
+		for _, r := range reads {
+			got := func() (msg any) {
+				defer func() { msg = recover() }()
+				v := r.read()
+				t.Errorf("run %d: %s = %#x after SkipFingerprint, want a panic", run, r.name, v)
+				return nil
+			}()
+			if s, _ := got.(string); !strings.Contains(s, "SkipFingerprint") {
+				t.Errorf("run %d: %s panicked with %v, want a message naming SkipFingerprint", run, r.name, got)
+			}
+		}
 	}
 }

@@ -50,11 +50,13 @@ type Invocation func(c *Ctx)
 // The process body runs on a runtime coroutine (iter.Pull): the kernel
 // resumes it with resume, the body parks itself with park. Control
 // strictly alternates — exactly one of kernel and process is running at
-// any time. A parking process settles its own statement and makes the
-// next scheduling decision in place, so it switches back to the kernel
-// only when that decision hands the processor to another process (see
-// System.settle). Data crosses a switch through the grant/yKind/yFp
-// fields.
+// any time. Run takes a pass's first yield (thinking, or done for an
+// empty program) without resuming the body, so the first resume of a
+// pass is the process's first grant. A parking process settles its own
+// statement and makes the next scheduling decision in place, so it
+// switches back to the kernel only when that decision hands the
+// processor to another process (see System.settle). Data crosses a
+// switch through the grant/yKind/yFp fields.
 type Process struct {
 	id        int
 	name      string
@@ -84,9 +86,14 @@ type Process struct {
 
 	// Kernel-side scheduling state. granted marks a statement begun by
 	// System.begin and not yet finished; arrived marks it an arrival.
+	// fresh marks a process not resumed since Run took its first yield of
+	// the pass: its coroutine still sits unstarted or at its top-of-loop
+	// park, where Reset expects it, so aborting or crashing it needs no
+	// unwinding.
 	state       procState
 	granted     bool
 	arrived     bool
+	fresh       bool
 	protected   bool // mid-quantum guarantee after a same-priority preemption
 	sinceResume int  // own statements since last same-priority preemption
 	preemptions int  // same-priority preemptions suffered
@@ -102,7 +109,8 @@ type Process struct {
 	// written, one term per statement). Together with the per-process
 	// statement counters it stands in for the process's opaque local
 	// state in System.Fingerprint: a deterministic invocation body's
-	// future behavior is a function of what it has read so far.
+	// future behavior is a function of what it has read so far. It stays
+	// zero on a system whose owner declined the upkeep (SkipFingerprint).
 	obsHash uint64
 
 	// fpCache/fpDirty memoize this process's XOR contribution to
@@ -122,10 +130,14 @@ type Process struct {
 	// in place by reset, so pooled replays append into retained capacity.
 	invStmtsLog []int64
 
-	// lastEvent describes the statement most recently executed; written
-	// by the process while it executes the statement, read by the
-	// kernel's bookkeeping when the process next parks (finish).
-	lastEvent StmtEvent
+	// The statement most recently executed: written field by field by
+	// the Ctx accessor that ran it (executed), read by the kernel's
+	// bookkeeping when the process next parks (finish), which assembles
+	// a StmtEvent from them only for an Observer.
+	lastOp  Op
+	lastObj string
+	lastVal uint64
+	lastFp  mem.Footprint
 
 	aborted bool
 	crashed bool
@@ -238,12 +250,13 @@ func (p *Process) CompletedInvocations() int { return p.invIndex }
 // failed (nil for clean completion or kernel-initiated abort).
 func (p *Process) Err() error { return p.err }
 
-// startCoro launches the process body on a runtime coroutine. The body
-// loops so a pooled System can rerun the program after Reset: each pass
-// runs the full program, parks with yieldDone, and waits to be resumed
-// into the next pass. A torn-down coroutine (yield returned false)
-// returns instead of parking again — iter.Pull forbids yielding after
-// stop.
+// startCoro launches the process body on a runtime coroutine at the
+// process's first grant. The body loops so a pooled System can rerun
+// the program after Reset: each pass runs the full program, parks with
+// yieldDone, and waits at that top-of-loop park until the first grant
+// of a later pass resumes it. A torn-down coroutine (yield returned
+// false) returns instead of parking again — iter.Pull forbids yielding
+// after stop.
 func (p *Process) startCoro() {
 	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
 		p.yield = yield
@@ -265,11 +278,13 @@ func (p *Process) startCoro() {
 }
 
 // resume switches control to the process coroutine with the given grant
-// and returns the yield it parks with. The first resume of a pass never
-// reads the grant (it produces the initial thinking/done yield, matching
-// the arrival protocol).
-func (p *Process) resume(g grantKind) (yieldKind, mem.Footprint) {
+// and returns the yield it parks with. The first resume of a pass is
+// always the process's first grant (Run took the thinking yield before
+// it), which starts the coroutine or resumes it from its top-of-loop
+// park; crash and abortAll never resume a fresh process.
+func (p *Process) resume(g grantKind) yieldKind {
 	p.grant = g
+	p.fresh = false
 	p.sys.resumes++
 	if !p.started {
 		p.startCoro()
@@ -277,9 +292,9 @@ func (p *Process) resume(g grantKind) (yieldKind, mem.Footprint) {
 	if _, ok := p.next(); !ok {
 		// The coroutine was torn down (Close); report done so kernel
 		// bookkeeping stays consistent.
-		return yieldDone, mem.Footprint{}
+		return yieldDone
 	}
-	return p.yKind, p.yFp
+	return p.yKind
 }
 
 // park ends the process's turn with the given message and returns its
@@ -317,7 +332,11 @@ func (p *Process) runProgram() {
 	}()
 	c := p.ctx
 	for i := range p.invocations {
-		p.await()
+		// The first arrival of a pass is the grant that resumed the
+		// coroutine: Run took the thinking yield before it.
+		if i > 0 {
+			p.await()
+		}
 		c.hasGrant = true
 		p.invocations[i](c)
 		if c.hasGrant {
@@ -328,7 +347,9 @@ func (p *Process) runProgram() {
 
 // await parks the process as thinking until the kernel grants arrival.
 // The grant doubles as permission to execute the first statement of the
-// next invocation.
+// next invocation. A pass's first invocation does not await: Run took
+// that thinking yield without resuming the process, and the grant that
+// resumed it is the arrival.
 func (p *Process) await() {
 	if p.park(yieldThinking, mem.Footprint{}) == grantAbort {
 		p.aborted = true
@@ -355,7 +376,7 @@ func (p *Process) reset() {
 	p.stmtsTotal = 0
 	p.maxInvStmts = 0
 	p.invStmtsLog = p.invStmtsLog[:0]
-	p.lastEvent = StmtEvent{}
+	p.executed(0, "", 0, mem.Footprint{})
 	p.aborted = false
 	p.crashed = false
 	p.err = nil
@@ -406,6 +427,13 @@ func (c *Ctx) stmt(fp mem.Footprint) {
 	}
 }
 
+// executed notes the statement the process just executed for finish,
+// field by field: a StmtEvent literal would be built on the stack and
+// copied in whole at every statement.
+func (p *Process) executed(op Op, obj string, v uint64, fp mem.Footprint) {
+	p.lastOp, p.lastObj, p.lastVal, p.lastFp = op, obj, v, fp
+}
+
 // memDelta folds an object's state-hash change into the system's
 // incremental memory fingerprint (call with the hash before and after
 // the mutation).
@@ -418,7 +446,7 @@ func (c *Ctx) Read(r *mem.Reg) mem.Word {
 	fp := r.Footprint(mem.AccessRead)
 	c.stmt(fp)
 	v := r.Load()
-	c.p.lastEvent = StmtEvent{Proc: c.p, Op: OpRead, Object: r.Name(), Value: v, Fp: fp}
+	c.p.executed(OpRead, r.Name(), v, fp)
 	return v
 }
 
@@ -426,10 +454,14 @@ func (c *Ctx) Read(r *mem.Reg) mem.Word {
 func (c *Ctx) Write(r *mem.Reg, v mem.Word) {
 	fp := r.Footprint(mem.AccessWrite)
 	c.stmt(fp)
-	before := r.StateHash()
-	r.Store(v)
-	c.memDelta(before, r.StateHash())
-	c.p.lastEvent = StmtEvent{Proc: c.p, Op: OpWrite, Object: r.Name(), Value: v, Fp: fp}
+	if c.p.sys.noFingerprint {
+		r.Store(v)
+	} else {
+		before := r.StateHash()
+		r.Store(v)
+		c.memDelta(before, r.StateHash())
+	}
+	c.p.executed(OpWrite, r.Name(), v, fp)
 }
 
 // CCons invokes C-consensus object o with proposal v (one statement) and
@@ -438,10 +470,15 @@ func (c *Ctx) Write(r *mem.Reg, v mem.Word) {
 func (c *Ctx) CCons(o *mem.ConsObject, v mem.Word) mem.Word {
 	fp := o.Footprint()
 	c.stmt(fp)
-	before := o.StateHash()
-	out := o.Invoke(v)
-	c.memDelta(before, o.StateHash())
-	c.p.lastEvent = StmtEvent{Proc: c.p, Op: OpCons, Object: o.Name(), Value: out, Fp: fp}
+	var out mem.Word
+	if c.p.sys.noFingerprint {
+		out = o.Invoke(v)
+	} else {
+		before := o.StateHash()
+		out = o.Invoke(v)
+		c.memDelta(before, o.StateHash())
+	}
+	c.p.executed(OpCons, o.Name(), out, fp)
 	return out
 }
 
@@ -451,14 +488,19 @@ func (c *Ctx) CCons(o *mem.ConsObject, v mem.Word) mem.Word {
 func (c *Ctx) CASPrim(o *mem.CASObject, old, new mem.Word) bool {
 	fp := o.Footprint(mem.AccessCons)
 	c.stmt(fp)
-	before := o.StateHash()
-	ok := o.CompareAndSwap(old, new)
-	c.memDelta(before, o.StateHash())
+	var ok bool
+	if c.p.sys.noFingerprint {
+		ok = o.CompareAndSwap(old, new)
+	} else {
+		before := o.StateHash()
+		ok = o.CompareAndSwap(old, new)
+		c.memDelta(before, o.StateHash())
+	}
 	v := mem.Word(0)
 	if ok {
 		v = 1
 	}
-	c.p.lastEvent = StmtEvent{Proc: c.p, Op: OpCons, Object: o.Name(), Value: v, Fp: fp}
+	c.p.executed(OpCons, o.Name(), v, fp)
 	return ok
 }
 
@@ -467,7 +509,7 @@ func (c *Ctx) LoadPrim(o *mem.CASObject) mem.Word {
 	fp := o.Footprint(mem.AccessRead)
 	c.stmt(fp)
 	v := o.Load()
-	c.p.lastEvent = StmtEvent{Proc: c.p, Op: OpRead, Object: o.Name(), Value: v, Fp: fp}
+	c.p.executed(OpRead, o.Name(), v, fp)
 	return v
 }
 
@@ -478,6 +520,6 @@ func (c *Ctx) Local(n int) {
 	fp := mem.Footprint{Cell: -1, Kind: mem.AccessLocal}
 	for i := 0; i < n; i++ {
 		c.stmt(fp)
-		c.p.lastEvent = StmtEvent{Proc: c.p, Op: OpLocal, Fp: fp}
+		c.p.executed(OpLocal, "", 0, fp)
 	}
 }

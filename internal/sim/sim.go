@@ -39,26 +39,34 @@
 // Each process body runs on a runtime coroutine (iter.Pull), and exactly
 // one of the kernel (the caller of Run) and the processes runs at any
 // time, so shared accesses need no further synchronization. A process
-// executes exactly one atomic statement per grant. When it parks after
-// that statement, it does the kernel's bookkeeping for the statement
-// and makes the next scheduling decision itself, on its own coroutine;
-// if the decision grants it again, it simply continues. Only a handoff
-// to another process, the end of its program, an error that ends the
-// run, or a step while crashes are armed switches back to the kernel,
-// which alone resumes, aborts and crashes coroutines. A statement the
-// scheduler keeps on the same process therefore costs no coroutine
-// switch, and a handoff costs two — no goroutines, channels, or
-// scheduler trips either way.
+// executes exactly one atomic statement per grant. Its first yield of a
+// run is known without running it — thinking if it has invocations,
+// done if it has none — so Run takes it without a switch, and the first
+// grant starts the coroutine (or resumes it where the previous run
+// left it). When a process parks after a statement, it does the
+// kernel's bookkeeping for the statement and makes the next scheduling
+// decision itself, on its own coroutine; if the decision grants it
+// again, it simply continues. Only a handoff to another process, the
+// end of its program, an error that ends the run, or a step while
+// crashes are armed switches back to the kernel, which alone resumes,
+// aborts and crashes coroutines. A statement the scheduler keeps on the
+// same process therefore costs no coroutine switch, and a handoff costs
+// two — no goroutines, channels, or scheduler trips either way; a
+// completed run with no crash injector armed resumes exactly once per
+// handoff.
 //
 // The kernel keeps per statement only what a run reads. The access log
 // behind Decision.Since is kept only when the run's chooser reads it
-// (see ReadsSince). The candidate list is kept from one decision to the
-// next and rebuilt only after scheduling state changed: an arrival, a
-// same-priority preemption or other change of a level's holder, a lapse
-// of quantum protection, the end of an invocation or program, or a
-// crash. A process spinning alone at its level therefore runs statement
-// after statement with no rebuild and no Pick, and, under a chooser
-// that does not read the log, no log entry.
+// (see ReadsSince). The fingerprint upkeep (the observation hash and
+// the memory state deltas behind System.Fingerprint) is kept unless the
+// system's owner declines it (SkipFingerprint). A StmtEvent is
+// assembled only for an Observer. The candidate list is kept from one
+// decision to the next and rebuilt only after scheduling state changed:
+// an arrival, a same-priority preemption or other change of a level's
+// holder, a lapse of quantum protection, the end of an invocation or
+// program, or a crash. A process spinning alone at its level therefore
+// runs statement after statement with no rebuild and no Pick, and,
+// under a chooser that does not read the log, no log entry.
 //
 // A System can be pooled across runs: builders that register state-reset
 // hooks with OnReset make the system Reusable, and Reset restores it to
@@ -277,6 +285,10 @@ type System struct {
 	// mutations mark processes dirty; Fingerprint folds deltas in
 	// lazily.
 	procFP uint64
+	// noFingerprint records the owner's declaration that nothing reads
+	// the fingerprint (SkipFingerprint): the kernel keeps neither
+	// obsHash nor memFP, and Fingerprint panics.
+	noFingerprint bool
 	// since accumulates executed accesses between decision points for
 	// Decision.Since when logSince is set: the run's chooser reads the
 	// log (ReadsSince, resolved once per Run).
@@ -295,6 +307,8 @@ type System struct {
 	onCoro  bool
 	// resumes counts coroutine resumes, for tests of the switch count.
 	resumes int64
+	// closed is set by Close: a later Run takes every process as done.
+	closed bool
 }
 
 // New returns an empty system with the given configuration.
@@ -407,10 +421,11 @@ func (s *System) Reset() {
 // Close tears down the process coroutines. Whoever builds a one-shot
 // System closes it once done with it: until then every started process
 // coroutine stays parked, holding its stack and everything it
-// references. A closed system cannot Run again; Close is safe to call at
-// any point, including after a panic escaped Run with coroutines parked
-// mid-invocation.
+// references. A closed system runs no statement again: Reset and Run
+// after Close end at once. Close is safe to call at any point, including
+// after a panic escaped Run with coroutines parked mid-invocation.
 func (s *System) Close() {
+	s.closed = true
 	for _, p := range s.procs {
 		if p.stop != nil {
 			p.stop()
