@@ -10,6 +10,7 @@ import (
 	"repro/internal/mem"
 	"repro/internal/multicons"
 	"repro/internal/qlocal"
+	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/unicons"
 	"repro/internal/universal"
@@ -288,7 +289,7 @@ const soakGolden = 0x9e3779b97f4a7c15
 // N-1 so wait-freedom keeps a survivor to talk about.
 func SoakMeta(base, crashBase, idx int64, maxCrashes int) (Meta, Sched) {
 	workSeed := int64(uint64(base) + uint64(idx)*soakGolden)
-	rng := rand.New(rand.NewSource(workSeed))
+	rng := rand.New(sched.NewSource(workSeed))
 	n := 2 + rng.Intn(6)
 	levels := 1 + rng.Intn(3)
 	quantum := qlocal.RecommendedQuantum + rng.Intn(32)
@@ -346,7 +347,7 @@ func SeededMeta(workload string, n, v, quantum int, wfBound int64, base, crashBa
 // auditor re-verifies Axioms 1-2 from the event stream.
 func buildSoakMix(m Meta, ch sim.Chooser, obs sim.Observer) (*sim.System, func(error) error) {
 	n, v := defInt(m.N, 2), defInt(m.V, 1)
-	opsRng := rand.New(rand.NewSource(m.WorkSeed ^ soakOpsSalt))
+	opsRng := rand.New(sched.NewSource(m.WorkSeed ^ soakOpsSalt))
 
 	aud := sim.NewAuditor(m.Quantum)
 	var observer sim.Observer = aud

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"runtime"
+	"runtime/metrics"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -208,6 +209,11 @@ type campaign struct {
 	nextClaim int64
 	sinceCkpt int64
 	fatal     error
+
+	// ckptMu serializes checkpoints: each takes its snapshot, writes it
+	// through the one temporary file and compacts the journal before the
+	// next begins, so snapshots never interleave and land in order.
+	ckptMu sync.Mutex
 
 	allowed  atomic.Int32
 	stopping atomic.Bool
@@ -506,6 +512,8 @@ func (c *campaign) finish(idx int64, rec Record, fatal error) {
 
 // checkpoint atomically snapshots the state and compacts the journal.
 func (c *campaign) checkpoint() error {
+	c.ckptMu.Lock()
+	defer c.ckptMu.Unlock()
 	c.mu.Lock()
 	cp := &Checkpoint{Version: checkpointVersion, Identity: c.cfg.identity(), State: c.state.clone()}
 	c.mu.Unlock()
@@ -528,33 +536,45 @@ func (s *State) clone() State {
 
 // memPressure walks the campaign's degradation ladder: while the heap
 // sits above the soft limit, halve the allowed workers (to a floor of
-// one), journaling each step.
+// one), journaling each step. A step, its state entry and its journal
+// record are one critical section, so the records keep the steps'
+// order and a resume replays them in it.
 func (c *campaign) memPressure() {
 	if c.cfg.MemSoftLimit == 0 {
 		return
 	}
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	if ms.HeapAlloc <= c.cfg.MemSoftLimit {
+	heap := heapBytes()
+	if heap <= c.cfg.MemSoftLimit {
 		return
 	}
 	n := c.allowed.Load()
 	if n <= 1 {
 		return
 	}
-	if !c.allowed.CompareAndSwap(n, (n+1)/2) {
+	c.mu.Lock()
+	if c.allowed.Load() != n {
+		c.mu.Unlock()
 		return // another worker just stepped; one step per observation
 	}
+	c.allowed.Store((n + 1) / 2)
 	event := fmt.Sprintf("memory pressure: heap %dMB over soft limit %dMB; stepped workers %d -> %d",
-		ms.HeapAlloc>>20, c.cfg.MemSoftLimit>>20, n, (n+1)/2)
-	c.mu.Lock()
+		heap>>20, c.cfg.MemSoftLimit>>20, n, (n+1)/2)
 	c.state.Degradations = append(c.state.Degradations, event)
-	c.mu.Unlock()
 	if c.journal != nil {
 		c.journal.Append(Record{Type: recDegrade, Event: event})
 	}
+	c.mu.Unlock()
 	if c.cfg.Log != nil {
 		c.cfg.Log("campaign: " + event)
 	}
 	runtime.GC()
+}
+
+// heapBytes reads the bytes of allocated heap objects, the quantity
+// runtime.MemStats.HeapAlloc reports, without stopping the world as
+// runtime.ReadMemStats does; the ladder reads it after every run.
+func heapBytes() uint64 {
+	sample := []metrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}}
+	metrics.Read(sample)
+	return sample[0].Value.Uint64()
 }

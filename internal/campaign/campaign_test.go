@@ -35,6 +35,9 @@ func testDerive(idx int64) (artifact.Meta, artifact.Sched) {
 		MaxSteps: 1 << 16}, s
 }
 
+// cleanDerive is testDerive without the planted violations.
+func cleanDerive(idx int64) (artifact.Meta, artifact.Sched) { return testDerive(5 * idx) }
+
 // violIdx lists the testDerive violation indices below n.
 func violIdx(n int64) []int64 {
 	var out []int64
@@ -256,6 +259,29 @@ func TestCampaignResumeEquivalence(t *testing.T) {
 	})
 }
 
+// TestCampaignConcurrentCheckpoints: with eight workers and a
+// checkpoint after every run, workers cross the cadence together all
+// the time. Every hard-killed leg must still leave a checkpoint that
+// loads. Two writers sharing the checkpoint's temporary file used to
+// interleave their writes, so a kill could leave a renamed, torn
+// snapshot.
+func TestCampaignConcurrentCheckpoints(t *testing.T) {
+	const runs = 48
+	for try := 0; try < 100; try++ {
+		dir := t.TempDir()
+		cfg := Config{Runs: runs, Parallel: 8, Derive: cleanDerive, StateDir: dir, CheckpointEvery: 1}
+		cfg.skipFinalCheckpoint = true
+		runLeg(t, cfg)
+		cp, err := LoadCheckpoint(dir)
+		if err != nil {
+			t.Fatalf("try %d: hard-killed leg left an unreadable checkpoint: %v", try, err)
+		}
+		if cp == nil || cp.State.Runs > runs {
+			t.Fatalf("try %d: checkpoint %+v", try, cp)
+		}
+	}
+}
+
 // TestCampaignResumeNothingToDo: resuming a completed campaign runs
 // zero new runs and reports the same result.
 func TestCampaignResumeNothingToDo(t *testing.T) {
@@ -353,5 +379,34 @@ func TestCampaignMemPressure(t *testing.T) {
 		!strings.Contains(degr[0], "stepped workers 4 -> 2") ||
 		!strings.Contains(degr[1], "stepped workers 2 -> 1") {
 		t.Fatalf("degradation ladder: %v", degr)
+	}
+}
+
+// TestCampaignMemPressureJournalOrder: the ladder journals its steps in
+// the order it takes them, the order a resume replays them in, and the
+// journal agrees with the leg's state.
+func TestCampaignMemPressureJournalOrder(t *testing.T) {
+	for try := 0; try < 30; try++ {
+		dir := t.TempDir()
+		cfg := Config{Runs: 12, Parallel: 4, Derive: cleanDerive, StateDir: dir, MemSoftLimit: 1}
+		cfg.skipFinalCheckpoint = true // keep every record in the journal
+		leg := runLeg(t, cfg)
+		j, recs, err := OpenJournal(JournalPath(dir), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		j.Close()
+		var journaled []string
+		for _, rec := range recs {
+			if rec.Type == recDegrade {
+				journaled = append(journaled, rec.Event)
+			}
+		}
+		if len(journaled) != 2 ||
+			!strings.Contains(journaled[0], "stepped workers 4 -> 2") ||
+			!strings.Contains(journaled[1], "stepped workers 2 -> 1") ||
+			!reflect.DeepEqual(journaled, leg.State.Degradations) {
+			t.Fatalf("try %d: journal %v, state %v", try, journaled, leg.State.Degradations)
+		}
 	}
 }

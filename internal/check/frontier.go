@@ -3,6 +3,7 @@ package check
 import (
 	"fmt"
 	"runtime"
+	"runtime/metrics"
 	"time"
 
 	"repro/internal/sched"
@@ -176,15 +177,23 @@ func (g *watchdog) fired() bool { return g != nil && g.wd.Fired }
 // under reduction they can increase the schedule count (less pruning),
 // and parked workers only shrink the live frontier footprint.
 
+// heapBytes reads the bytes of allocated heap objects, the quantity
+// runtime.MemStats.HeapAlloc reports, without stopping the world as
+// runtime.ReadMemStats does.
+func heapBytes() uint64 {
+	sample := []metrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}}
+	metrics.Read(sample)
+	return sample[0].Value.Uint64()
+}
+
 // memPressure polls the heap (called from count() at progress
 // boundaries) and takes at most one degradation step.
 func (c *collector) memPressure() {
 	if c.memSoft == 0 {
 		return
 	}
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	if ms.HeapAlloc <= c.memSoft {
+	heap := heapBytes()
+	if heap <= c.memSoft {
 		return
 	}
 	c.mu.Lock()
@@ -193,14 +202,14 @@ func (c *collector) memPressure() {
 	case !c.cacheShed && c.cache != nil:
 		c.cacheShed = true
 		c.cache.shed()
-		event = fmt.Sprintf("memory pressure: heap %dMB over soft limit %dMB; shed fingerprint cache", ms.HeapAlloc>>20, c.memSoft>>20)
+		event = fmt.Sprintf("memory pressure: heap %dMB over soft limit %dMB; shed fingerprint cache", heap>>20, c.memSoft>>20)
 	default:
 		if n := c.allowed.Load(); n > 1 {
 			c.allowed.Store((n + 1) / 2)
-			event = fmt.Sprintf("memory pressure: heap %dMB over soft limit %dMB; stepped workers %d -> %d", ms.HeapAlloc>>20, c.memSoft>>20, n, (n+1)/2)
+			event = fmt.Sprintf("memory pressure: heap %dMB over soft limit %dMB; stepped workers %d -> %d", heap>>20, c.memSoft>>20, n, (n+1)/2)
 		} else if !c.degradeFloor {
 			c.degradeFloor = true
-			event = fmt.Sprintf("memory pressure: heap %dMB over soft limit %dMB with all mitigations applied; continuing at minimum", ms.HeapAlloc>>20, c.memSoft>>20)
+			event = fmt.Sprintf("memory pressure: heap %dMB over soft limit %dMB with all mitigations applied; continuing at minimum", heap>>20, c.memSoft>>20)
 		}
 	}
 	if event != "" {

@@ -99,7 +99,7 @@ func NewRandomCrash(inner sim.Chooser, seed int64, maxCrashes int, prob float64)
 		Inner:      inner,
 		MaxCrashes: maxCrashes,
 		Prob:       prob,
-		rng:        rand.New(rand.NewSource(seed)),
+		rng:        rand.New(NewSource(seed)),
 	}
 }
 

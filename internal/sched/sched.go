@@ -20,14 +20,17 @@ import (
 // Random picks uniformly among candidates using a seeded PRNG, giving
 // reproducible pseudo-random schedules. Random schedules exercise
 // preemptions heavily because every legal preemption point is taken with
-// positive probability.
+// positive probability. Its stream is math/rand's for the seed, drawn
+// through Source, which builds the generator's state on demand instead
+// of at every seed; saved bundles and soak campaigns name their runs
+// by these seeds, so the stream must never change.
 type Random struct {
 	rng *rand.Rand
 }
 
 // NewRandom returns a Random chooser with the given seed.
 func NewRandom(seed int64) *Random {
-	return &Random{rng: rand.New(rand.NewSource(seed))}
+	return &Random{rng: rand.New(NewSource(seed))}
 }
 
 // Pick implements sim.Chooser.

@@ -25,24 +25,29 @@ import "fmt"
 //     never execute another statement, arrive, crash again, or appear
 //     on either side of a preemption; its unfinished invocation must
 //     not block lower-priority survivors (its Axiom 1 claim lapses).
+//
+// An Auditor watches one system's processes: it keys its state by
+// process ID, and reports an event from a second process under an ID
+// it has already seen.
 type Auditor struct {
 	quantum int
-	procs   map[*Process]*auditState
+	procs   []auditState // indexed by Process.ID
 	err     error
 }
 
 type auditState struct {
-	active       bool // mid-invocation
-	crashed      bool // halted by a crash-stop fault
-	sinceResume  int  // own statements since last same-priority preemption
-	preemptedInv bool // suffered a same-priority preemption this invocation
+	proc         *Process // nil until the process's first event
+	active       bool     // mid-invocation
+	crashed      bool     // halted by a crash-stop fault
+	sinceResume  int      // own statements since last same-priority preemption
+	preemptedInv bool     // suffered a same-priority preemption this invocation
 }
 
 var _ Observer = (*Auditor)(nil)
 
 // NewAuditor returns an auditor for systems with the given quantum.
 func NewAuditor(quantum int) *Auditor {
-	return &Auditor{quantum: quantum, procs: make(map[*Process]*auditState)}
+	return &Auditor{quantum: quantum}
 }
 
 // Err returns the first axiom violation observed, or nil.
@@ -63,10 +68,16 @@ func (a *Auditor) fail(format string, args ...any) {
 }
 
 func (a *Auditor) state(p *Process) *auditState {
-	s, ok := a.procs[p]
-	if !ok {
-		s = &auditState{}
-		a.procs[p] = s
+	id := p.ID()
+	if id >= len(a.procs) {
+		a.procs = append(a.procs, make([]auditState, id+1-len(a.procs))...)
+	}
+	s := &a.procs[id]
+	if s.proc != p {
+		if s.proc != nil {
+			a.fail("%s and %s share process ID %d: one auditor per system", s.proc.Name(), p.Name(), id)
+		}
+		*s = auditState{proc: p}
 	}
 	return s
 }
@@ -84,9 +95,10 @@ func (a *Auditor) OnStatement(ev StmtEvent) {
 		return
 	}
 	// Axiom 1: nothing above p may be mid-invocation on p's processor.
-	//repro:allow maporder existence test; iteration order only picks which witness names the diagnostic
-	for q, qs := range a.procs {
-		if q != p && qs.active && q.Processor() == p.Processor() && q.Priority() > p.Priority() {
+	// The diagnostic names the lowest-ID witness.
+	for i := range a.procs {
+		qs := &a.procs[i]
+		if q := qs.proc; qs.active && q != p && q.Processor() == p.Processor() && q.Priority() > p.Priority() {
 			a.fail("step %d: %s (pri %d) ran while %s (pri %d) was ready on processor %d",
 				ev.Step, p.Name(), p.Priority(), q.Name(), q.Priority(), p.Processor())
 			return

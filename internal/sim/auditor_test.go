@@ -77,6 +77,95 @@ func TestAuditorDetectsAxiom1Violation(t *testing.T) {
 	}
 }
 
+// TestAuditorDetectsAxiom1ViolationHighFirst is the opposite order: the
+// higher-priority processes are added first, so they hold the lower
+// IDs. With two of them ready, the diagnostic names the lowest-ID one.
+func TestAuditorDetectsAxiom1ViolationHighFirst(t *testing.T) {
+	sys := sim.New(sim.Config{Processors: 1, Quantum: 4})
+	hi := makeProc(t, sys, 0, 2, "hi")
+	top := makeProc(t, sys, 0, 3, "top")
+	lo := makeProc(t, sys, 0, 1, "lo")
+	aud := sim.NewAuditor(4)
+	aud.OnSchedule(sim.SchedEvent{Kind: sim.SchedArrive, Proc: lo, Step: 0})
+	aud.OnSchedule(sim.SchedEvent{Kind: sim.SchedArrive, Proc: top, Step: 0})
+	aud.OnSchedule(sim.SchedEvent{Kind: sim.SchedArrive, Proc: hi, Step: 0})
+	aud.OnStatement(sim.StmtEvent{Proc: lo, Op: sim.OpLocal, Step: 0})
+	err := aud.Err()
+	if err == nil || !strings.Contains(err.Error(), "ready") {
+		t.Fatalf("Axiom 1 violation not detected: %v", err)
+	}
+	if !strings.Contains(err.Error(), "while hi (pri 2)") {
+		t.Fatalf("diagnostic does not name the lowest-ID witness hi: %v", err)
+	}
+}
+
+// TestAuditorResetAcrossCrash reuses an audited pooled system: the
+// first run crashes the high-priority process mid-invocation, the
+// second runs it to completion. Reset must leave no crash or
+// mid-invocation state behind, so the second run audits clean.
+func TestAuditorResetAcrossCrash(t *testing.T) {
+	aud := sim.NewAuditor(4)
+	crash := sched.NewCrash(sim.FirstChooser{}, sched.CrashPoint{Proc: 0, Step: 1})
+	sys := sim.New(sim.Config{Processors: 1, Quantum: 4, Chooser: crash, Observer: aud})
+	defer sys.Close()
+	r := mem.NewReg("r")
+	var hiStmts, loDone int
+	hi := sys.AddProcess(sim.ProcSpec{Processor: 0, Priority: 2, Name: "hi"})
+	hi.AddInvocation(func(c *sim.Ctx) {
+		for k := 0; k < 3; k++ {
+			c.Write(r, mem.Word(k))
+			hiStmts++
+		}
+	})
+	sys.AddProcess(sim.ProcSpec{Processor: 0, Priority: 1, Name: "lo"}).
+		AddInvocation(func(c *sim.Ctx) {
+			c.Read(r)
+			loDone++
+		})
+	sys.OnReset(func() {
+		aud.Reset()
+		crash.Reset()
+		hiStmts, loDone = 0, 0
+	})
+
+	if err := sys.Run(); err != nil {
+		t.Fatalf("run 1: %v", err)
+	}
+	if !hi.Crashed() || hiStmts == 3 || loDone != 1 {
+		t.Fatalf("run 1: hi crashed=%v after %d statements, lo done %d; want a mid-invocation crash and lo done",
+			hi.Crashed(), hiStmts, loDone)
+	}
+	if err := aud.Err(); err != nil {
+		t.Fatalf("run 1 audit: %v", err)
+	}
+
+	crash.Plan = nil
+	sys.Reset()
+	if err := sys.Run(); err != nil {
+		t.Fatalf("run 2: %v", err)
+	}
+	if hi.Crashed() || hiStmts != 3 || loDone != 1 {
+		t.Fatalf("run 2: hi crashed=%v after %d statements, lo done %d; want both complete", hi.Crashed(), hiStmts, loDone)
+	}
+	if err := aud.Err(); err != nil {
+		t.Fatalf("run 2 audit reports state left from run 1: %v", err)
+	}
+}
+
+// TestAuditorRejectsSecondSystem: an auditor keys its state by process
+// ID, so events from another system's process under an ID it has
+// already seen are reported instead of merged into the first's state.
+func TestAuditorRejectsSecondSystem(t *testing.T) {
+	a := makeProc(t, sim.New(sim.Config{Processors: 1, Quantum: 4}), 0, 1, "a")
+	b := makeProc(t, sim.New(sim.Config{Processors: 1, Quantum: 4}), 0, 1, "b")
+	aud := sim.NewAuditor(4)
+	aud.OnSchedule(sim.SchedEvent{Kind: sim.SchedArrive, Proc: a, Step: 0})
+	aud.OnSchedule(sim.SchedEvent{Kind: sim.SchedArrive, Proc: b, Step: 0})
+	if err := aud.Err(); err == nil || !strings.Contains(err.Error(), "share process ID 0") {
+		t.Fatalf("second system's process not reported: %v", err)
+	}
+}
+
 // TestAuditorDetectsAxiom2Violation feeds a stream with a second
 // same-priority preemption after too few statements.
 func TestAuditorDetectsAxiom2Violation(t *testing.T) {
