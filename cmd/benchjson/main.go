@@ -24,6 +24,7 @@ import (
 	"time"
 
 	"repro/internal/bench"
+	"repro/internal/durable"
 )
 
 // report is the BENCH_explore.json schema, version 4 (version 2 added
@@ -151,7 +152,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if err := os.WriteFile(*out, file, 0o644); err != nil {
+	if err := durable.WriteFile(*out, file); err != nil {
 		fatal(err)
 	}
 	fmt.Printf("benchjson: wrote %s\n", *out)

@@ -52,6 +52,7 @@ import (
 
 	"repro/internal/artifact"
 	"repro/internal/check"
+	"repro/internal/durable"
 	"repro/internal/service/jobspec"
 )
 
@@ -211,7 +212,7 @@ func main() {
 				fmt.Fprintf(os.Stderr, "checker: encode frontier: %v\n", err)
 				os.Exit(2)
 			}
-			if err := os.WriteFile(*frontOut, append(data, '\n'), 0o644); err != nil {
+			if err := durable.WriteFile(*frontOut, append(data, '\n')); err != nil {
 				fmt.Fprintf(os.Stderr, "checker: %v\n", err)
 				os.Exit(2)
 			}

@@ -40,7 +40,9 @@
 // resume (exit 0); without one the interrupted run exits 130. A second
 // signal aborts immediately.
 //
-// Exit status is non-zero on the first violation. With -artifact-dir
+// Exit status is non-zero on the first violation. Resuming a campaign
+// that already failed runs only what a kill left undone below its
+// first violation; add -keep-going to run past it. With -artifact-dir
 // (or a -state-dir, which defaults it to <dir>/artifacts) the failing
 // run is written there as a repro bundle for cmd/shrink. The last line
 // of stdout is a machine-readable JSON summary:

@@ -33,6 +33,7 @@ import (
 	"path/filepath"
 	"runtime/debug"
 
+	"repro/internal/durable"
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -364,13 +365,14 @@ func trimZeros(dec []int) []int {
 	return dec[:n]
 }
 
-// Save writes the bundle as indented JSON to path.
+// Save writes the bundle as indented JSON to path, atomically
+// (durable.WriteFile).
 func (b *Bundle) Save(path string) error {
 	data, err := json.MarshalIndent(b, "", "  ")
 	if err != nil {
 		return fmt.Errorf("artifact: encode: %w", err)
 	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	return durable.WriteFile(path, append(data, '\n'))
 }
 
 // SaveDir writes the bundle into dir (created if needed) under a

@@ -80,6 +80,8 @@ type Config struct {
 	MemSoftLimit uint64
 	// StopOnViolation stops the campaign at the first violation
 	// (classic soak behavior) instead of recording it and continuing.
+	// A resume over a recorded violation runs only the runs below the
+	// lowest one that are not done yet.
 	StopOnViolation bool
 	// Stop, when non-nil, requests a graceful stop when it becomes
 	// readable (typically close()d by a signal handler): workers finish
@@ -99,11 +101,6 @@ type Config struct {
 	// ProgressEvery is the completed-run interval between Progress
 	// calls (0 = 100).
 	ProgressEvery int64
-
-	// skipFinalCheckpoint simulates a hard kill (SIGKILL) in tests: the
-	// leg exits without the final checkpoint/compaction, leaving the
-	// journal tail exactly as a crash would.
-	skipFinalCheckpoint bool
 }
 
 func (c Config) parallel() int {
@@ -211,8 +208,9 @@ type campaign struct {
 	fatal     error
 
 	// ckptMu serializes checkpoints: each takes its snapshot, writes it
-	// through the one temporary file and compacts the journal before the
-	// next begins, so snapshots never interleave and land in order.
+	// and compacts the journal before the next begins, so an older
+	// snapshot never replaces a newer one, and no compaction drops
+	// journal records that the snapshot left on disk lacks.
 	ckptMu sync.Mutex
 
 	allowed  atomic.Int32
@@ -234,6 +232,9 @@ func Run(cfg Config) (*Result, error) {
 		defer c.journal.Close()
 	}
 	c.nextClaim = c.state.NextIdx
+	if v := c.state.Violations; cfg.StopOnViolation && len(v) > 0 && cfg.Log != nil {
+		cfg.Log(fmt.Sprintf("campaign: stop-at-first: running only below the recorded violation in run %d (keep-going runs past it)", v[0].Idx))
+	}
 
 	var wg sync.WaitGroup
 	for w := 0; w < cfg.parallel(); w++ {
@@ -246,7 +247,7 @@ func Run(cfg Config) (*Result, error) {
 	}
 	wg.Wait()
 
-	if c.journal != nil && !cfg.skipFinalCheckpoint {
+	if c.journal != nil {
 		if err := c.checkpoint(); err != nil && cfg.Log != nil {
 			cfg.Log(fmt.Sprintf("campaign: final checkpoint failed: %v", err))
 		}
@@ -316,7 +317,10 @@ func (c *campaign) complete() bool {
 }
 
 // claim reserves the next unfinished run index, or -1 when the
-// campaign is stopping or out of work.
+// campaign is stopping or out of work. A stop-at-first campaign stops
+// once a run violates; resumed over a recorded violation, it claims
+// nothing past the lowest one but still the runs below it, which a
+// kill at Parallel > 1 can leave undone.
 func (c *campaign) claim() int64 {
 	if c.stopRequested() {
 		c.stopping.Store(true)
@@ -329,7 +333,9 @@ func (c *campaign) claim() int64 {
 	for c.state.done(c.nextClaim) || c.inflight[c.nextClaim] {
 		c.nextClaim++
 	}
-	if c.cfg.Runs > 0 && c.nextClaim >= c.cfg.Runs {
+	v := c.state.Violations
+	pastViolation := c.cfg.StopOnViolation && len(v) > 0 && c.nextClaim > v[0].Idx
+	if c.cfg.Runs > 0 && c.nextClaim >= c.cfg.Runs || pastViolation {
 		return -1
 	}
 	idx := c.nextClaim

@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/artifact"
+	"repro/internal/durable"
 	"repro/internal/unicons"
 )
 
@@ -114,6 +116,43 @@ func runLeg(t *testing.T, cfg Config) *Result {
 	return res
 }
 
+// runKilled runs one leg in which every checkpoint write fails once
+// killed reports true, so the leg ends as a SIGKILL at that moment
+// would leave it: no later snapshot, and a journal tail that the last
+// snapshot has not absorbed.
+func runKilled(t *testing.T, cfg Config, killed func() bool) *Result {
+	t.Helper()
+	defer durable.SetFault(func(path string, _ durable.Step) error {
+		if path == CheckpointPath(cfg.StateDir) && killed() {
+			return errors.New("killed")
+		}
+		return nil
+	})()
+	return runLeg(t, cfg)
+}
+
+// closed reports whether ch has been closed.
+func closed(ch <-chan struct{}) func() bool {
+	return func() bool {
+		select {
+		case <-ch:
+			return true
+		default:
+			return false
+		}
+	}
+}
+
+// lastRun sets cfg's progress hook to report once the leg has
+// completed all cfg.Runs runs, the moment before its final checkpoint.
+func lastRun(cfg *Config) func() bool {
+	var done atomic.Bool
+	runs := cfg.Runs
+	cfg.ProgressEvery = runs
+	cfg.Progress = func(p ProgressInfo) { done.Store(p.Runs >= runs) }
+	return done.Load
+}
+
 // normState strips the resume-dependent fields (Resumed counts legs,
 // artifact paths embed the state dir) so states from different
 // directories compare.
@@ -214,8 +253,7 @@ func TestCampaignResumeEquivalence(t *testing.T) {
 		cfg := testConfig(dir)
 		stop, derive := stopAfter(8)
 		cfg.Stop, cfg.Derive = stop, derive
-		cfg.skipFinalCheckpoint = true // simulate SIGKILL: journal tail survives un-checkpointed
-		leg1 := runLeg(t, cfg)
+		leg1 := runKilled(t, cfg, closed(stop)) // simulate SIGKILL: journal tail survives un-checkpointed
 		if !leg1.Interrupted {
 			t.Fatalf("leg1 was not interrupted: %+v", leg1.State)
 		}
@@ -228,8 +266,7 @@ func TestCampaignResumeEquivalence(t *testing.T) {
 		cfg := testConfig(dir)
 		stop, derive := stopAfter(8)
 		cfg.Stop, cfg.Derive = stop, derive
-		cfg.skipFinalCheckpoint = true
-		runLeg(t, cfg)
+		runKilled(t, cfg, closed(stop))
 		// Tear the journal mid-record, as a crash mid-write would.
 		jp := JournalPath(dir)
 		if info, err := os.Stat(jp); err != nil {
@@ -248,8 +285,7 @@ func TestCampaignResumeEquivalence(t *testing.T) {
 		cfg := testConfig(dir)
 		stop, derive := stopAfter(8)
 		cfg.Stop, cfg.Derive = stop, derive
-		cfg.skipFinalCheckpoint = true
-		runLeg(t, cfg)
+		runKilled(t, cfg, closed(stop))
 		// Lose the checkpoint entirely: the journal alone must recover
 		// (post-compaction records replay; compacted-away runs re-run
 		// deterministically to the same outcomes).
@@ -270,8 +306,8 @@ func TestCampaignConcurrentCheckpoints(t *testing.T) {
 	for try := 0; try < 100; try++ {
 		dir := t.TempDir()
 		cfg := Config{Runs: runs, Parallel: 8, Derive: cleanDerive, StateDir: dir, CheckpointEvery: 1}
-		cfg.skipFinalCheckpoint = true
-		runLeg(t, cfg)
+		killed := lastRun(&cfg)
+		runKilled(t, cfg, killed)
 		cp, err := LoadCheckpoint(dir)
 		if err != nil {
 			t.Fatalf("try %d: hard-killed leg left an unreadable checkpoint: %v", try, err)
@@ -320,6 +356,81 @@ func TestCampaignStopOnViolation(t *testing.T) {
 	}
 	if res.State.Runs != 4 || len(res.State.Violations) != 1 || res.State.Violations[0].Idx != 3 {
 		t.Fatalf("state: %+v", res.State)
+	}
+}
+
+// TestCampaignStopOnViolationResume: a stop-at-first campaign killed
+// after it journaled its violation, but before its final checkpoint,
+// resumes to the uninterrupted campaign's state instead of running on
+// to the next violation.
+func TestCampaignStopOnViolationResume(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{Runs: testRuns, Parallel: 1, Derive: testDerive, StateDir: dir, StopOnViolation: true}
+	found := make(chan struct{})
+	leg := cfg
+	leg.Derive = func(idx int64) (artifact.Meta, artifact.Sched) {
+		if idx == 3 {
+			close(found)
+		}
+		return testDerive(idx)
+	}
+	runKilled(t, leg, closed(found))
+	res := runLeg(t, cfg)
+	if !res.Interrupted || res.State.Runs != 4 || len(res.State.Violations) != 1 || res.State.Violations[0].Idx != 3 {
+		t.Fatalf("resumed state: interrupted %v, %+v", res.Interrupted, res.State)
+	}
+
+	// At Parallel > 1 a kill can land after a violation is journaled
+	// while runs below it are still in flight. The resume runs those
+	// gaps and claims nothing past the violation; a gap that violates
+	// becomes the campaign's first violation.
+	for _, tc := range []struct {
+		name     string
+		journal  []int64 // runs journaled before the kill
+		bound    int64   // the journaled violation
+		wantViol []int64 // the resumed campaign's violations
+	}{
+		{"clean gap", []int64{0, 1, 3, 4}, 3, []int64{3}},
+		{"violating gap", []int64{0, 1, 2, 8}, 8, []int64{3, 8}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := Config{Runs: testRuns, Parallel: 2, Derive: testDerive, StateDir: t.TempDir(), StopOnViolation: true}
+			if err := WriteCheckpoint(cfg.StateDir, &Checkpoint{Version: checkpointVersion, Identity: cfg.identity()}); err != nil {
+				t.Fatal(err)
+			}
+			j, _, err := OpenJournal(JournalPath(cfg.StateDir), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, idx := range tc.journal {
+				rec := Record{Type: recRun, Idx: idx}
+				if idx%5 == 3 {
+					rec.Err = "planted"
+				}
+				j.Append(rec)
+			}
+			if err := j.Close(); err != nil {
+				t.Fatal(err)
+			}
+			s := runLeg(t, cfg).State
+			first := tc.wantViol[0]
+			for idx := int64(0); idx < testRuns; idx++ {
+				journaled := false
+				for _, k := range tc.journal {
+					journaled = journaled || k == idx
+				}
+				if idx <= first && !s.done(idx) || idx > tc.bound && s.done(idx) && !journaled {
+					t.Fatalf("run %d done %v after the resume (journaled %v): %+v", idx, s.done(idx), tc.journal, s)
+				}
+			}
+			var got []int64
+			for _, v := range s.Violations {
+				got = append(got, v.Idx)
+			}
+			if !reflect.DeepEqual(got, tc.wantViol) {
+				t.Fatalf("violations %v, want %v", got, tc.wantViol)
+			}
+		})
 	}
 }
 
@@ -389,8 +500,8 @@ func TestCampaignMemPressureJournalOrder(t *testing.T) {
 	for try := 0; try < 30; try++ {
 		dir := t.TempDir()
 		cfg := Config{Runs: 12, Parallel: 4, Derive: cleanDerive, StateDir: dir, MemSoftLimit: 1}
-		cfg.skipFinalCheckpoint = true // keep every record in the journal
-		leg := runLeg(t, cfg)
+		killed := lastRun(&cfg)
+		leg := runKilled(t, cfg, killed) // keep every record in the journal
 		j, recs, err := OpenJournal(JournalPath(dir), nil)
 		if err != nil {
 			t.Fatal(err)

@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+
+	"repro/internal/durable"
 )
 
 // checkpointVersion guards the snapshot format.
@@ -129,7 +131,7 @@ func (s *State) apply(rec Record) {
 }
 
 // Checkpoint is the atomic snapshot written alongside the journal:
-// state as of some moment, never torn (write-temp-then-rename), always
+// state as of some moment, never torn (durable.WriteFile), always
 // consistent with replaying the journal's records on top (run records
 // are idempotent). Recovery = load checkpoint (if any) + apply journal.
 type Checkpoint struct {
@@ -157,38 +159,16 @@ func CheckpointPath(dir string) string { return filepath.Join(dir, checkpointNam
 // JournalPath returns the journal location inside a state dir.
 func JournalPath(dir string) string { return filepath.Join(dir, journalName) }
 
-// WriteCheckpoint atomically persists cp into dir: the snapshot is
-// written to a temporary file, synced, and renamed over the live
-// checkpoint, so a crash at any point leaves either the old or the new
-// snapshot — never a torn one.
+// WriteCheckpoint atomically persists cp into dir (durable.WriteFile),
+// so a crash at any point leaves either the old or the new snapshot —
+// never a torn one.
 func WriteCheckpoint(dir string, cp *Checkpoint) error {
 	data, err := json.MarshalIndent(cp, "", "  ")
 	if err != nil {
 		return fmt.Errorf("campaign: encode checkpoint: %w", err)
 	}
-	data = append(data, '\n')
-	tmp := CheckpointPath(dir) + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
+	if err := durable.WriteFile(CheckpointPath(dir), append(data, '\n')); err != nil {
 		return fmt.Errorf("campaign: checkpoint: %w", err)
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("campaign: checkpoint write: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("campaign: checkpoint sync: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("campaign: checkpoint close: %w", err)
-	}
-	if err := os.Rename(tmp, CheckpointPath(dir)); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("campaign: checkpoint rename: %w", err)
 	}
 	return nil
 }

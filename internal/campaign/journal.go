@@ -189,12 +189,16 @@ func encodeLine(rec Record) ([]byte, error) {
 	return append(line, '\n'), nil
 }
 
-// Append durably appends one record. A failed write is retried with
-// bounded exponential backoff; if every retry fails the journal
-// degrades to in-memory-only mode (Degraded reports true, the record
-// and all subsequent ones are counted in Lost) and the campaign
-// continues without crash-safety rather than dying. Append never
-// returns an error: campaign progress must not hinge on the disk.
+// Append appends one record with a single write(2). It does not sync:
+// once Append returns, a process kill loses nothing, but a power loss
+// can lose the records written since the last checkpoint (Close, and
+// only Close, syncs the journal), which a resume simply re-runs. A
+// failed write is retried with bounded exponential backoff; if every
+// retry fails the journal degrades to in-memory-only mode (Degraded
+// reports true, the record and all subsequent ones are counted in
+// Lost) and the campaign continues without crash-safety rather than
+// dying. Append never returns an error: campaign progress must not
+// hinge on the disk.
 func (j *Journal) Append(rec Record) {
 	line, err := encodeLine(rec)
 	if err != nil {

@@ -151,7 +151,7 @@ func (c *collector) fingerprintCache() *fpCache {
 	if !c.opts.Reduction.fingerprints() {
 		return nil
 	}
-	c.cache = newFPCache(c.opts.reductionCache(), c.opts.parallelism())
+	c.cache = newFPCache(fpCacheEntries, c.opts.parallelism())
 	return c.cache
 }
 

@@ -172,10 +172,10 @@ func (g *watchdog) fired() bool { return g != nil && g.wd.Fired }
 // limit, takes one mitigation step per poll: first shed the fingerprint
 // cache (reduced modes only — dropping entries only forgoes pruning,
 // never soundness), then halve the number of workers allowed to claim
-// new work, down to one. Each step is reported via Options.OnDegrade
-// and recorded in Result.Degradations. Steps never affect verdicts;
-// under reduction they can increase the schedule count (less pruning),
-// and parked workers only shrink the live frontier footprint.
+// new work, down to one. Each step is recorded in Result.Degradations.
+// Steps never affect verdicts; under reduction they can increase the
+// schedule count (less pruning), and parked workers only shrink the
+// live frontier footprint.
 
 // heapBytes reads the bytes of allocated heap objects, the quantity
 // runtime.MemStats.HeapAlloc reports, without stopping the world as
@@ -214,9 +214,6 @@ func (c *collector) memPressure() {
 	}
 	if event != "" {
 		c.degradations = append(c.degradations, event)
-		if c.opts.OnDegrade != nil {
-			c.opts.OnDegrade(event)
-		}
 	}
 	c.mu.Unlock()
 	if event != "" {

@@ -110,8 +110,8 @@ type ReductionStats struct {
 	CacheHits int64
 	// CacheEntries is the number of cache entries live at the end.
 	CacheEntries int
-	// CacheEvictions counts FIFO evictions forced by
-	// Options.ReductionCache. Evictions only reduce pruning, never
+	// CacheEvictions counts FIFO evictions forced by the cache's
+	// capacity (fpCacheEntries). Evictions only reduce pruning, never
 	// soundness.
 	CacheEvictions int64
 }
@@ -135,6 +135,11 @@ type fpEntry struct {
 	budget int
 	worker int
 }
+
+// fpCacheEntries caps the visited-fingerprint cache, over all its
+// shards: each shard holds an equal share, and a full shard evicts its
+// oldest entry (FIFO), which only forgoes pruning.
+const fpCacheEntries = 1 << 20
 
 // fpCache is the bounded visited-fingerprint cache shared by all
 // workers of one exploration. It is split into a power-of-two number of

@@ -268,7 +268,7 @@ func TestFPCacheConcurrentVisits(t *testing.T) {
 }
 
 // TestFPCacheCapacity checks that the shards together never hold more
-// than ReductionCache entries, whatever the worker count, including
+// than their capacity in entries, whatever the worker count, including
 // capacities below the shard count a worker count asks for, and that
 // every insert past a full shard evicts exactly one entry.
 func TestFPCacheCapacity(t *testing.T) {
@@ -301,7 +301,7 @@ func TestFPCacheCapacity(t *testing.T) {
 // that has taken one insert per shard has allocated no more than a
 // one-worker cache after the same inserts.
 func TestFPCacheUpFrontBytes(t *testing.T) {
-	capacity := Options{}.reductionCache()
+	capacity := fpCacheEntries
 	two := newFPCache(capacity, 2)
 	fps := make([]uint64, len(two.shards))
 	for i := range fps {

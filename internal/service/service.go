@@ -317,6 +317,12 @@ func (s *Service) loadJobs() error {
 		if err != nil {
 			return err
 		}
+		if j == nil {
+			// A submission killed before its spec landed: its client got
+			// an error, not an ID, so there is no job to resume.
+			s.logf("skipping %s: no spec.json", id)
+			continue
+		}
 		s.jobs[id] = j
 		st := j.snapshot()
 		if terminal(st.State) {
@@ -337,14 +343,12 @@ func (s *Service) loadJobs() error {
 	return nil
 }
 
-// loadJob reads one job's spec and status back from the store.
+// loadJob reads one job's spec and status back from the store; nil
+// when the job directory holds no spec.
 func (s *Service) loadJob(id string) (*job, error) {
 	specData, err := s.st.ReadJobFile(id, "spec.json")
-	if err != nil {
+	if err != nil || specData == nil {
 		return nil, err
-	}
-	if specData == nil {
-		return nil, fmt.Errorf("service: job %s has no spec.json", id)
 	}
 	spec, err := jobspec.Parse(specData)
 	if err != nil {
@@ -387,6 +391,11 @@ func (s *Service) Submit(spec *jobspec.Spec) (string, error) {
 	j := &job{id: id, spec: spec, events: newEventLog(), cancelled: make(chan struct{})}
 	j.status = Status{ID: id, Kind: spec.Kind, State: StateQueued, Detail: spec.Describe()}
 	if err := s.st.WriteJobFile(id, "spec.json", append(specData, '\n')); err != nil {
+		// The client gets an error, not an ID, so no boot may run the
+		// job; a write can fail after its rename has landed the spec.
+		if rerr := s.st.RemoveJob(id); rerr != nil {
+			s.logf("remove failed submission %s: %v", id, rerr)
+		}
 		return "", err
 	}
 	s.persist(j)
@@ -484,10 +493,13 @@ func (s *Service) Stop() {
 }
 
 // Kill simulates a hard kill (SIGKILL) for tests: running jobs are
-// interrupted AND every subsequent store write is suppressed, so the
-// on-disk state after Kill is exactly the state some real kill could
-// have left — the most recent atomically persisted checkpoint of every
-// job, with no graceful finalization on top.
+// interrupted AND every subsequent store write of the service's own is
+// suppressed, so the on-disk state after Kill is exactly the state some
+// real kill could have left — the most recent atomically persisted
+// checkpoint of every job, with no graceful finalization on top. A
+// running soak job's campaign stops gracefully and still writes its
+// final checkpoint; tests that need that write lost too fail it through
+// durable.SetFault.
 func (s *Service) Kill() {
 	s.mu.Lock()
 	alreadyStopping := s.stopping
@@ -796,6 +808,12 @@ func (s *Service) foldLeg(j *job, prog *checkProgress, res *check.Result, limit 
 		prog.Violations = append(prog.Violations, rec)
 		j.events.append("violation", rec.Schedule+": "+rec.Err)
 	}
+	mirrorProgress(j, prog)
+}
+
+// mirrorProgress copies a check job's cumulative counters into its
+// status.
+func mirrorProgress(j *job, prog *checkProgress) {
 	j.mu.Lock()
 	j.status.Legs = prog.Legs
 	j.status.Schedules = prog.Schedules
@@ -833,8 +851,11 @@ func (s *Service) persistProgress(j *job, prog *checkProgress) {
 }
 
 // finishCheck maps a completed check job's cumulative result to its
-// terminal state.
+// terminal state. The counters come from prog: a kill between the last
+// leg's progress.json and status.json writes leaves a status that lags
+// the finished progress it boots into.
 func (s *Service) finishCheck(j *job, prog *checkProgress) {
+	mirrorProgress(j, prog)
 	if prog.ViolationsTotal > 0 {
 		s.finish(j, StateFailed,
 			fmt.Sprintf("%d violations in %d schedules (%d legs)", prog.ViolationsTotal, prog.Schedules, prog.Legs), nil)

@@ -2,10 +2,14 @@
 // directory tree holding everything the server must not lose across a
 // restart — per-job state (spec, status, progress, campaign state
 // directories), content-addressed repro bundles, and the appended bench
-// history. All writes are atomic (write-temp-then-rename), so a crash
-// at any point leaves every file either old or new, never torn; this is
-// what lets the server treat the store as the single source of truth on
-// boot and resume interrupted jobs from it.
+// history. Every file is written by durable.WriteFile, so a crash at
+// any point leaves each file old or new, never torn, and two writers of
+// one file need no lock: a job's cancel and its runner can both persist
+// status.json, and two jobs can store one bundle at once. This is what
+// lets the server treat the store as the single source of truth on boot
+// and resume interrupted jobs from it. It matters at boot: the service
+// refuses to open a store whose status.json does not decode, which two
+// writers sharing one temporary file, as writes once did, could leave.
 //
 // Layout under the root:
 //
@@ -35,11 +39,13 @@ import (
 
 	"repro/internal/artifact"
 	"repro/internal/bench"
+	"repro/internal/durable"
 )
 
 // Store is a handle on one store root. The mutex serializes ID
-// allocation and bench appends; everything else is naturally safe
-// because writes are atomic renames of content-complete files.
+// allocation and bench appends (a read-modify-write); everything else
+// is safe unserialized because each write renames its own complete
+// temporary file into place.
 type Store struct {
 	root string
 	mu   sync.Mutex
@@ -57,36 +63,6 @@ func Open(dir string) (*Store, error) {
 
 // Root returns the store's root directory.
 func (s *Store) Root() string { return s.root }
-
-// writeAtomic writes data to path via a temporary file in the same
-// directory plus a rename, so readers (and post-crash recovery) never
-// observe a partial file.
-func writeAtomic(path string, data []byte) error {
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("store: write %s: %w", path, err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("store: sync %s: %w", path, err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("store: close %s: %w", path, err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("store: rename %s: %w", path, err)
-	}
-	return nil
-}
 
 // jobIDRe is the only job-ID shape the store accepts; it doubles as
 // path-traversal protection for IDs arriving from URLs.
@@ -157,6 +133,18 @@ func (s *Store) HasJob(id string) bool {
 	return err == nil && info.IsDir()
 }
 
+// RemoveJob deletes a job's directory and everything in it.
+func (s *Store) RemoveJob(id string) error {
+	dir, err := s.jobDir(id)
+	if err != nil {
+		return err
+	}
+	if err := os.RemoveAll(dir); err != nil {
+		return fmt.Errorf("store: %w", err)
+	}
+	return nil
+}
+
 // WriteJobFile atomically writes one file inside a job's directory.
 // name must be a bare file name (no separators).
 func (s *Store) WriteJobFile(id, name string, data []byte) error {
@@ -167,7 +155,7 @@ func (s *Store) WriteJobFile(id, name string, data []byte) error {
 	if name == "" || name != filepath.Base(name) {
 		return fmt.Errorf("store: bad job file name %q", name)
 	}
-	return writeAtomic(filepath.Join(dir, name), data)
+	return durable.WriteFile(filepath.Join(dir, name), data)
 }
 
 // ReadJobFile reads one file from a job's directory; (nil, nil) when
@@ -255,7 +243,7 @@ func (s *Store) putBlob(key string, data []byte) error {
 	if _, err := os.Stat(path); err == nil {
 		return nil
 	}
-	return writeAtomic(path, data)
+	return durable.WriteFile(path, data)
 }
 
 // ImportArtifact loads a bundle file (e.g. from a job's scratch or
@@ -317,7 +305,7 @@ func (s *Store) AppendBench(entry []byte) error {
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	return writeAtomic(s.benchPath(), merged)
+	return durable.WriteFile(s.benchPath(), merged)
 }
 
 // BenchHistory returns the store's bench history; an empty-but-valid

@@ -76,6 +76,12 @@ func TestJobFilesRoundTrip(t *testing.T) {
 	if !s.HasJob(id) || s.HasJob("job-999999") {
 		t.Fatal("HasJob wrong")
 	}
+	if err := s.RemoveJob(id); err != nil || s.HasJob(id) {
+		t.Fatalf("RemoveJob: %v, job still there: %v", err, s.HasJob(id))
+	}
+	if err := s.RemoveJob("../etc"); err == nil {
+		t.Fatal("RemoveJob accepted a malformed id")
+	}
 }
 
 func TestMalformedIDsAndNamesRejected(t *testing.T) {
