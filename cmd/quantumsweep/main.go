@@ -3,15 +3,16 @@
 // scheduling quantum under an adversarial schedule battery and reports
 // the largest failing and smallest working quantum.
 //
-// The battery's bounded-deviation leg runs with full reduction
-// (sleep sets + fingerprint pruning) by default; reductions preserve
-// verdicts, so the frontier is unchanged, only faster. -no-reduction
-// restores the plain enumeration for cross-checking.
+// Each point's battery builds the Fig. 7 system through the workload
+// registry (the multicons workload). Its bounded-deviation leg runs
+// with full reduction (sleep sets + fingerprint pruning); reductions
+// preserve verdicts, so the frontier is the plain enumeration's, only
+// faster (the check package's reduced-vs-plain cross-check pins this).
 //
 // Usage:
 //
 //	quantumsweep -p 2 -m 3 -v 1 -seeds 150
-//	quantumsweep -p 2 -m 3 -no-reduction   # plain enumeration cross-check
+//	quantumsweep -p 2 -m 2 -grid 1,8,64 -parallel 1
 package main
 
 import (
@@ -22,7 +23,6 @@ import (
 	"strings"
 
 	"repro/internal/bench"
-	"repro/internal/check"
 )
 
 func main() {
@@ -33,7 +33,6 @@ func main() {
 		seeds    = flag.Int("seeds", 150, "random schedules per battery")
 		grid     = flag.String("grid", "", "comma-separated quantum grid (default built-in)")
 		parallel = flag.Int("parallel", 0, "workers per schedule battery (0 = all CPUs, 1 = sequential)")
-		noRed    = flag.Bool("no-reduction", false, "disable exploration reductions in the deviation battery leg (slower, same verdicts)")
 	)
 	flag.Parse()
 
@@ -42,11 +41,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "quantumsweep: %v\n", err)
 		os.Exit(2)
 	}
-	red := check.ReductionFull
-	if *noRed {
-		red = check.ReductionNone
-	}
-	rows := bench.Table1SweepRed(*p, *m, *v, *seeds, qGrid, *parallel, red)
+	rows := bench.Table1Sweep(*p, *m, *v, *seeds, qGrid, *parallel)
 	fmt.Print(bench.RenderTable1(*p, *m, *v, rows))
 }
 

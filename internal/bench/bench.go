@@ -12,51 +12,21 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/artifact"
 	"repro/internal/check"
-	"repro/internal/mem"
-	"repro/internal/multicons"
 	"repro/internal/sched"
 	"repro/internal/sim"
 )
 
-// fig7Builder constructs one Fig. 7 consensus run for the harness.
-func fig7Builder(cfg multicons.Config, quantum int) check.Builder {
-	return func(ch sim.Chooser) (*sim.System, check.Verify) {
-		sys := sim.New(sim.Config{Processors: cfg.P, Quantum: quantum, Chooser: ch, MaxSteps: 1 << 23})
-		alg := multicons.New(cfg)
-		n := cfg.P * cfg.M
-		outs := make([]mem.Word, n)
-		id := 0
-		for i := 0; i < cfg.P; i++ {
-			for j := 0; j < cfg.M; j++ {
-				me := id
-				sys.AddProcess(sim.ProcSpec{
-					Processor: i,
-					Priority:  1 + j%cfg.V,
-					Name:      fmt.Sprintf("p%d.%d", i, j),
-				}).AddInvocation(func(c *sim.Ctx) {
-					outs[me] = alg.Decide(c, mem.Word(me+1))
-				})
-				id++
-			}
-		}
-		verify := func(runErr error) error {
-			if runErr != nil {
-				return fmt.Errorf("run failed: %w", runErr)
-			}
-			first := outs[0]
-			for i, v := range outs {
-				if v == mem.Bottom {
-					return fmt.Errorf("process %d decided ⊥", i)
-				}
-				if v != first {
-					return fmt.Errorf("agreement violated: %v", outs)
-				}
-			}
-			return nil
-		}
-		return sys, verify
+// fig7Builder builds the sweep's Fig. 7 runs through the workload
+// registry's multicons workload, whose reset hooks let the explorers
+// pool one system per worker.
+func fig7Builder(p, k, m, v, q int) check.Builder {
+	build, err := check.BuilderFor(artifact.Meta{Workload: "multicons", P: p, K: k, M: m, V: v, Quantum: q, MaxSteps: 1 << 23})
+	if err != nil {
+		panic(err) // unreachable: multicons is registered
 	}
+	return build
 }
 
 // budgetLegSchedules caps the bounded-deviation leg of the quantum
@@ -70,10 +40,9 @@ const budgetLegSchedules = 128
 // bounded exhaustive leg over every single-switch deviation from the
 // default schedule. The deterministic battery fans out over parallelism
 // workers (0 = NumCPU); the fuzz and deviation legs run on the parallel
-// explorer with the same worker budget, the deviation leg with the
-// given reduction (ReductionNone restores the plain enumeration).
-func quantumHolds(cfg multicons.Config, q, seeds, parallelism int, red check.Reduction) bool {
-	build := fig7Builder(cfg, q)
+// explorer with the same worker budget, the deviation leg with full
+// reduction.
+func quantumHolds(build check.Builder, q, seeds, parallelism int) bool {
 	adversaries := []sim.Chooser{sched.NewRotate()}
 	for phase := 0; phase < min(q, 8); phase++ {
 		adversaries = append(adversaries, sched.NewStagger(q, phase))
@@ -117,7 +86,7 @@ func quantumHolds(cfg multicons.Config, q, seeds, parallelism int, red check.Red
 		StopAtFirst:  true,
 		Parallelism:  parallelism,
 		MaxSchedules: budgetLegSchedules,
-		Reduction:    red,
+		Reduction:    check.ReductionFull,
 	})
 	return bres.OK()
 }
@@ -141,35 +110,25 @@ func DefaultQGrid() []int {
 // Table1Sweep reproduces Table 1 for a P-processor system with M
 // processes per processor over V priority levels: for each C in
 // [P, 2P+1] it sweeps the quantum grid under adversarial schedules and
-// records the empirical universality frontier. The per-point schedule
-// batteries run on the parallel explorer with the default worker count
-// (runtime.NumCPU()); use Table1SweepPar to control it.
-func Table1Sweep(p, m, v, seeds int, qGrid []int) []Table1Row {
-	return Table1SweepPar(p, m, v, seeds, qGrid, 0)
-}
-
-// Table1SweepPar is Table1Sweep with an explicit worker count per
-// schedule battery (0 = runtime.NumCPU(), 1 = sequential). The
-// bounded-deviation battery leg runs with full reduction; use
-// Table1SweepRed to control it.
-func Table1SweepPar(p, m, v, seeds int, qGrid []int, parallelism int) []Table1Row {
-	return Table1SweepRed(p, m, v, seeds, qGrid, parallelism, check.ReductionFull)
-}
-
-// Table1SweepRed is Table1SweepPar with an explicit reduction for the
-// bounded-deviation battery leg. Reductions preserve verdicts, so the
-// sweep's frontier is reduction-independent; ReductionNone exists as an
-// escape hatch for cross-checking.
-func Table1SweepRed(p, m, v, seeds int, qGrid []int, parallelism int, red check.Reduction) []Table1Row {
+// records the empirical universality frontier. Each point's schedule
+// battery runs on parallelism workers (0 = runtime.NumCPU(), 1 =
+// sequential); its bounded-deviation leg runs with full reduction,
+// which preserves verdicts, so the frontier does not depend on it.
+// P, M and V must be at least 1: the multicons workload would run its
+// default sizes in their place, under a table labelled with the sizes
+// given.
+func Table1Sweep(p, m, v, seeds int, qGrid []int, parallelism int) []Table1Row {
+	if p < 1 || m < 1 || v < 1 {
+		panic(fmt.Sprintf("bench: Table1Sweep needs P, M, V >= 1, got %d, %d, %d", p, m, v))
+	}
 	if qGrid == nil {
 		qGrid = DefaultQGrid()
 	}
 	var rows []Table1Row
 	for k := 0; k <= p; k++ {
-		cfg := multicons.Config{Name: "t1", P: p, K: k, M: m, V: v}
 		row := Table1Row{C: p + k, K: k, PaperFactor: max(2, 2*p+1-(p+k))}
 		for _, q := range qGrid {
-			if quantumHolds(cfg, q, seeds, parallelism, red) {
+			if quantumHolds(fig7Builder(p, k, m, v, q), q, seeds, parallelism) {
 				if row.MinWorkingQ == 0 {
 					row.MinWorkingQ = q
 				}
@@ -219,23 +178,4 @@ func RenderScaling(title, xlabel string, pts []ScalingPoint) string {
 		fmt.Fprintf(&b, "%8d %16d\n", pt.X, pt.Stmts)
 	}
 	return b.String()
-}
-
-// ProbeQuantum runs the adversarial battery once for a single (K, Q)
-// point and returns the first violation found, or nil. The fuzz sweep
-// runs on the parallel explorer with the default worker count.
-func ProbeQuantum(p, k, m, v, q, seeds int) error {
-	cfg := multicons.Config{Name: "probe", P: p, K: k, M: m, V: v}
-	build := fig7Builder(cfg, q)
-	sys, verify := build(sched.NewRotate())
-	err := verify(sys.Run())
-	sys.Close()
-	if err != nil {
-		return err
-	}
-	res := check.Fuzz(build, seeds, check.Options{StopAtFirst: true})
-	if !res.OK() {
-		return res.First().Err
-	}
-	return nil
 }

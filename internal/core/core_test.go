@@ -1,52 +1,84 @@
 package core_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
 )
 
-func TestParseScheduler(t *testing.T) {
-	for _, spec := range []string{"first", "", "rtc", "rotate", "random", "random:42", "stagger", "stagger:8", "stagger:8:2"} {
-		if _, err := core.ParseScheduler(spec); err != nil {
-			t.Errorf("ParseScheduler(%q): %v", spec, err)
-		}
-	}
-	for _, spec := range []string{"bogus", "random:x", "stagger:x", "stagger:8:y"} {
-		if _, err := core.ParseScheduler(spec); err == nil {
-			t.Errorf("ParseScheduler(%q) succeeded, want error", spec)
-		}
-	}
-}
-
 func TestRunUniConsensus(t *testing.T) {
-	res, err := core.RunUniConsensus(core.UniConsensusOpts{
-		N: 5, V: 2, Quantum: 8, Scheduler: "random:3", Trace: true,
-	})
-	if err != nil {
-		t.Fatalf("RunUniConsensus: %v", err)
-	}
-	if !res.Agreed {
-		t.Fatalf("disagreement: %v", res.Decisions)
-	}
-	if res.WorstOpStmts != 8 {
-		t.Fatalf("worst op = %d statements, want 8", res.WorstOpStmts)
-	}
-	if !strings.Contains(res.Trace, "p0") {
-		t.Fatal("trace missing process row")
+	for _, tc := range []struct {
+		name  string
+		opts  core.UniConsensusOpts
+		trace string // the exact rendering and outcome; "" checks only for a process row
+	}{
+		{"random", core.UniConsensusOpts{N: 5, V: 2, Quantum: 8, Scheduler: "random:seed=3", Trace: true}, ""},
+		// cmd/tracer's Fig. 1(a)/Fig. 2 and Fig. 1(b) interleavings.
+		{"fig1a", core.UniConsensusOpts{N: 3, V: 1, Quantum: 8, Scheduler: "rotate", Trace: true},
+			"    t=0..23\n" +
+				"p0  [  !WRWRW]              \n" +
+				"p1   [        !LRLRL]       \n" +
+				"p2    [              !LRLRL]\n" +
+				"decisions=[1 1 1] preemptions=3\n"},
+		{"fig1b", core.UniConsensusOpts{N: 3, V: 3, Quantum: 8, Scheduler: "rotate", Trace: true},
+			"    t=0..23\n" +
+				"p0  [                RLRLRL]\n" +
+				"p1   [        RLRLRL]       \n" +
+				"p2    [RWRWRW]              \n" +
+				"decisions=[3 3 3] preemptions=0\n"},
+	} {
+		res, err := core.RunUniConsensus(tc.opts)
+		if err != nil {
+			t.Fatalf("%s: RunUniConsensus: %v", tc.name, err)
+		}
+		if !res.Agreed {
+			t.Fatalf("%s: disagreement: %v", tc.name, res.Decisions)
+		}
+		if res.WorstOpStmts != 8 {
+			t.Fatalf("%s: worst op = %d statements, want 8", tc.name, res.WorstOpStmts)
+		}
+		if tc.trace == "" {
+			if !strings.Contains(res.Trace, "p0") {
+				t.Fatalf("%s: trace missing process row", tc.name)
+			}
+		} else if got := fmt.Sprintf("%sdecisions=%v preemptions=%d\n", res.Trace, res.Decisions, res.Preemptions); got != tc.trace {
+			t.Errorf("%s: trace\n%s\nwant\n%s", tc.name, got, tc.trace)
+		}
 	}
 }
 
+// TestRunUniConsensusBadScheduler runs every scheduler spelling that
+// cmd/hybridsim's usage documents and rejects malformed specs, among
+// them the retired "random:<seed>" and "stagger:<period>:<phase>" forms.
 func TestRunUniConsensusBadScheduler(t *testing.T) {
-	if _, err := core.RunUniConsensus(core.UniConsensusOpts{N: 2, Quantum: 8, Scheduler: "nope"}); err == nil {
-		t.Fatal("bad scheduler accepted")
+	for _, tc := range []struct {
+		spec string
+		ok   bool
+	}{
+		{"rtc", true},
+		{"rotate", true},
+		{"script", true},
+		{"random:seed=7", true},
+		{"stagger:period=8,phase=2", true},
+		{"nope", false},
+		{"", false},
+		{"random:7", false},
+		{"stagger:8:2", false},
+		{"random:seed=x", false},
+		{"rotate:period=8", false},
+	} {
+		_, err := core.RunUniConsensus(core.UniConsensusOpts{N: 2, Quantum: 8, Scheduler: tc.spec})
+		if (err == nil) != tc.ok {
+			t.Errorf("scheduler %q: err = %v, want ok=%v", tc.spec, err, tc.ok)
+		}
 	}
 }
 
 func TestRunMultiConsensusFig7(t *testing.T) {
 	res, err := core.RunMultiConsensus(core.MultiConsensusOpts{
-		P: 2, K: 1, M: 2, V: 2, Quantum: 2048, Scheduler: "random:1",
+		P: 2, K: 1, M: 2, V: 2, Quantum: 2048, Scheduler: "random:seed=1",
 	})
 	if err != nil {
 		t.Fatalf("RunMultiConsensus: %v", err)
@@ -73,7 +105,7 @@ func TestRunMultiConsensusFig9(t *testing.T) {
 
 func TestRunCASWorkload(t *testing.T) {
 	res, err := core.RunCASWorkload(core.CASWorkloadOpts{
-		N: 4, V: 2, OpsPer: 3, Quantum: 32, Scheduler: "random:5",
+		N: 4, V: 2, OpsPer: 3, Quantum: 32, Scheduler: "random:seed=5",
 	})
 	if err != nil {
 		t.Fatalf("RunCASWorkload: %v", err)

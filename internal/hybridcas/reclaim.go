@@ -71,9 +71,6 @@ func NewReclaiming(name string, levels int, initial mem.Word, threshold int) *Ob
 	return o
 }
 
-// Reclaiming reports whether the object reclaims storage.
-func (o *Object) Reclaiming() bool { return o.rec != nil }
-
 // LiveCells returns the number of allocated cells. Post-run inspection
 // only.
 func (o *Object) LiveCells() int { return len(o.cells) }

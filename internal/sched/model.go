@@ -239,7 +239,11 @@ func ParseModelSpec(s string) (*ModelSpec, error) {
 					return nil, fmt.Errorf("sched: model spec %q: parameter %s: %w", s, key, err)
 				}
 				if key == "seed" {
-					spec.Seed = int64(f)
+					// An integer seed is taken exactly: a float64
+					// holds only 53 bits of an int64.
+					if spec.Seed, err = strconv.ParseInt(val, 10, 64); err != nil {
+						spec.Seed = int64(f)
+					}
 					continue
 				}
 				if spec.Params == nil {

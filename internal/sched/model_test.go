@@ -154,6 +154,12 @@ func TestSpecStringRoundTrip(t *testing.T) {
 			t.Errorf("%s: round trip changed the spec\n before: %s\n after:  %s", row.name, a, b)
 		}
 	}
+	// A seed past float64's 53 bits survives the compact form exactly.
+	const big = 1<<53 + 1
+	spec, err := sched.ParseModelSpec((&sched.ModelSpec{Name: "random", Seed: big}).String())
+	if err != nil || spec.Seed != big {
+		t.Errorf("random seed %d round-tripped to %v (err %v)", int64(big), spec, err)
+	}
 }
 
 // TestReseedEquivalence pins the Reseedable contract for the

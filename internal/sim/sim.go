@@ -454,6 +454,3 @@ func (s *System) Processes() []*Process { return s.procs }
 
 // Quantum returns the configured scheduling quantum Q.
 func (s *System) Quantum() int { return s.cfg.Quantum }
-
-// NumProcessors returns the configured processor count P.
-func (s *System) NumProcessors() int { return s.cfg.Processors }

@@ -90,6 +90,39 @@ func newNode(depth int) *node {
 	return &node{children: map[int]*node{}, outcomes: map[mem.Word]int{}, depth: depth}
 }
 
+// count adds one run's outcome to the node.
+func (n *node) count(out Outcome) {
+	if out.Valid {
+		n.outcomes[out.Decision]++
+	} else {
+		n.invalid++
+	}
+}
+
+// add records one finished run in the trie: it counts the leaf, walks
+// (and grows) the run's decision path from root, and counts the run's
+// outcome on every node along it.
+func (r *Result) add(root *node, path []int, out Outcome) {
+	r.Leaves++
+	if out.Valid {
+		r.Decisions[out.Decision]++
+	} else {
+		r.Violations++
+	}
+	n := root
+	n.count(out)
+	for _, d := range path {
+		child, ok := n.children[d]
+		if !ok {
+			child = newNode(n.depth + 1)
+			n.children[d] = child
+		}
+		n = child
+		n.count(out)
+	}
+	n.leaf = true
+}
+
 // Analyze enumerates up to maxLeaves maximal schedules of the scenario
 // and classifies every prefix's valency.
 func Analyze(s Scenario, maxLeaves int) *Result {
@@ -107,43 +140,12 @@ func Analyze(s Scenario, maxLeaves int) *Result {
 		}
 		script := &sched.Script{Decisions: prefix}
 		sys, outcome := s(script)
-		runErr := sys.Run()
-		out := outcome(runErr)
+		out := outcome(sys.Run())
 		sys.Close()
-		res.Leaves++
-
-		// Record the leaf into the trie.
+		// Past the prefix the script took candidate 0.
 		taken := make([]int, len(script.Fanouts))
 		copy(taken, prefix)
-		n := root
-		for _, d := range taken {
-			child, ok := n.children[d]
-			if !ok {
-				child = newNode(n.depth + 1)
-				n.children[d] = child
-			}
-			n = child
-		}
-		n.leaf = true
-		if out.Valid {
-			res.Decisions[out.Decision]++
-		} else {
-			res.Violations++
-		}
-		// Propagate to ancestors.
-		n = root
-		record := func(nd *node) {
-			if out.Valid {
-				nd.outcomes[out.Decision]++
-			} else {
-				nd.invalid++
-			}
-		}
-		record(n)
-		for _, d := range taken {
-			n = n.children[d]
-			record(n)
-		}
+		res.add(root, taken, out)
 
 		// Advance to the next schedule lexicographically.
 		i := len(taken) - 1
@@ -179,35 +181,9 @@ func AnalyzeBudget(s Scenario, budget, maxLeaves int) *Result {
 		}
 		ch := &sched.BudgetedSwitch{SwitchAt: switches}
 		sys, outcome := s(ch)
-		runErr := sys.Run()
-		out := outcome(runErr)
+		out := outcome(sys.Run())
 		sys.Close()
-		res.Leaves++
-
-		n := root
-		record := func(nd *node) {
-			if out.Valid {
-				nd.outcomes[out.Decision]++
-			} else {
-				nd.invalid++
-			}
-		}
-		record(n)
-		for _, d := range ch.Taken {
-			child, ok := n.children[d]
-			if !ok {
-				child = newNode(n.depth + 1)
-				n.children[d] = child
-			}
-			n = child
-			record(n)
-		}
-		n.leaf = true
-		if out.Valid {
-			res.Decisions[out.Decision]++
-		} else {
-			res.Violations++
-		}
+		res.add(root, ch.Taken, out)
 
 		if budget == 0 {
 			return

@@ -1,7 +1,6 @@
 package valency_test
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/mem"
@@ -128,12 +127,41 @@ func TestAnalyzeTruncation(t *testing.T) {
 	}
 }
 
-// TestResultString covers the renderer.
+// TestResultString pins the exact summary of every configuration that
+// cmd/valency and EXPERIMENTS.md's E6 report, truncated ones included,
+// so a change to either enumeration or to the trie shows as a diff.
 func TestResultString(t *testing.T) {
-	res := valency.Analyze(fig3Scenario(2, unicons.MinQuantum), 100000)
-	s := res.String()
-	if s == "" {
-		t.Fatal("empty summary")
+	for _, tc := range []struct {
+		name       string
+		scen       valency.Scenario
+		budget, at int // budget 0 = full tree; at = leaf cap
+		want       string
+	}{
+		{"fig3 n=2 q=8", fig3Scenario(2, 8), 0, 100000,
+			"leaves=114 prefixes=113 bivalent=17 critical=4 maxBivalentDepth=6 violations=0 decisions=[1×57][2×57]"},
+		{"fig3 n=3 q=1 budget=3", fig3Scenario(3, 1), 3, 100000,
+			"leaves=4605 prefixes=27528 bivalent=109 critical=30 maxBivalentDepth=10 violations=2 decisions=[1×2853][2×841][3×909]"},
+		{"exhaust n=3 p=2 c=2", exhaustionScenario(3, 2, 2), 0, 100000,
+			"leaves=6 prefixes=4 bivalent=0 critical=0 maxBivalentDepth=0 violations=6 decisions="},
+		{"fig3 n=3 q=8", fig3Scenario(3, 8), 0, 100000,
+			"leaves=12186 prefixes=9811 bivalent=175 critical=36 maxBivalentDepth=10 violations=0 decisions=[1×4062][2×4062][3×4062]"},
+		{"fig3 n=3 q=8 budget=4", fig3Scenario(3, 8), 4, 100000,
+			"leaves=8756 prefixes=9811 bivalent=175 critical=36 maxBivalentDepth=10 violations=0 decisions=[1×3598][2×2579][3×2579]"},
+		{"fig3 n=4 q=8 budget=3", fig3Scenario(4, 8), 3, 100000,
+			"leaves=19743 prefixes=108454 bivalent=213 critical=54 maxBivalentDepth=10 violations=0 decisions=[1×13062][2×2031][3×2227][4×2423]"},
+		{"fig3 n=3 q=8 max=1000", fig3Scenario(3, 8), 0, 1000,
+			"leaves=1000 prefixes=836 bivalent=0 critical=0 maxBivalentDepth=0 violations=0 decisions=[1×1000] (truncated)"},
+		{"fig3 n=3 q=1 budget=3 max=300", fig3Scenario(3, 1), 3, 300,
+			"leaves=300 prefixes=2565 bivalent=15 critical=4 maxBivalentDepth=6 violations=0 decisions=[1×38][2×222][3×40] (truncated)"},
+	} {
+		var res *valency.Result
+		if tc.budget > 0 {
+			res = valency.AnalyzeBudget(tc.scen, tc.budget, tc.at)
+		} else {
+			res = valency.Analyze(tc.scen, tc.at)
+		}
+		if got := res.String(); got != tc.want {
+			t.Errorf("%s:\n got %s\nwant %s", tc.name, got, tc.want)
+		}
 	}
-	fmt.Println("summary:", s)
 }

@@ -397,7 +397,7 @@ type Table1Row = bench.Table1Row
 
 // Table1Sweep regenerates Table 1 empirically (experiment E1).
 func Table1Sweep(p, m, v, seeds int, qGrid []int) []Table1Row {
-	return bench.Table1Sweep(p, m, v, seeds, qGrid)
+	return bench.Table1Sweep(p, m, v, seeds, qGrid, 0)
 }
 
 // RenderTable1 renders a Table 1 sweep.
