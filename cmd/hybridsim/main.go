@@ -4,7 +4,9 @@
 // -sched takes a scheduler model spec, the grammar of checker
 // -sched-model (sched.ParseModelSpec): rtc, rotate, script (candidate
 // 0 at every decision), random:seed=<n>, stagger:period=<n>,phase=<n>,
-// or any other registered model.
+// or any other registered model. A count below 1 (-n, -p, -m, -v,
+// -ops), a negative -q, or a -k outside [0, -p], among the flags the
+// chosen algorithm reads, is rejected with exit status 2.
 //
 // Usage:
 //
@@ -44,6 +46,10 @@ func run() error {
 		showTr   = flag.Bool("trace", false, "render the interleaving timeline")
 	)
 	flag.Parse()
+	if err := checkSizes(*alg, *n, *p, *k, *m, *v, *ops, *q); err != nil {
+		fmt.Fprintln(os.Stderr, "hybridsim:", err)
+		os.Exit(2)
+	}
 
 	switch *alg {
 	case "fig3":
@@ -89,6 +95,34 @@ func run() error {
 		}
 	default:
 		return fmt.Errorf("unknown -alg %q", *alg)
+	}
+	return nil
+}
+
+// checkSizes rejects the flags of alg that no system can be built
+// from: a count below 1, a negative quantum, or a surplus K outside
+// [0, P]. Flags alg does not read are not checked.
+func checkSizes(alg string, n, p, k, m, v, ops, q int) error {
+	type bound struct {
+		name     string
+		val, min int
+	}
+	bounds := []bound{{"v", v, 1}, {"q", q, 0}}
+	switch alg {
+	case "fig3":
+		bounds = append(bounds, bound{"n", n, 1})
+	case "fig5":
+		bounds = append(bounds, bound{"n", n, 1}, bound{"ops", ops, 1})
+	case "fig7", "fig9":
+		bounds = append(bounds, bound{"p", p, 1}, bound{"m", m, 1}, bound{"k", k, 0})
+	}
+	for _, b := range bounds {
+		if b.val < b.min {
+			return fmt.Errorf("-%s must be at least %d, got %d", b.name, b.min, b.val)
+		}
+	}
+	if (alg == "fig7" || alg == "fig9") && k > p {
+		return fmt.Errorf("-k must be at most -p (%d), got %d", p, k)
 	}
 	return nil
 }

@@ -8,6 +8,8 @@
 // with full reduction (sleep sets + fingerprint pruning); reductions
 // preserve verdicts, so the frontier is the plain enumeration's, only
 // faster (the check package's reduced-vs-plain cross-check pins this).
+// -p, -m or -v below 1, or a bad -grid entry, is rejected with exit
+// status 2.
 //
 // Usage:
 //
@@ -37,6 +39,9 @@ func main() {
 	flag.Parse()
 
 	qGrid, err := parseGrid(*grid)
+	if err == nil {
+		err = checkSizes(*p, *m, *v)
+	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "quantumsweep: %v\n", err)
 		os.Exit(2)
@@ -63,4 +68,18 @@ func parseGrid(grid string) ([]int, error) {
 		qs = append(qs, q)
 	}
 	return qs, nil
+}
+
+// checkSizes rejects a processor, process or priority-level count
+// below 1: the sweep has no Fig. 7 system to build for it.
+func checkSizes(p, m, v int) error {
+	for _, f := range []struct {
+		name string
+		val  int
+	}{{"p", p}, {"m", m}, {"v", v}} {
+		if f.val < 1 {
+			return fmt.Errorf("-%s must be at least 1, got %d", f.name, f.val)
+		}
+	}
+	return nil
 }

@@ -31,3 +31,27 @@ func TestParseGrid(t *testing.T) {
 		}
 	}
 }
+
+func TestCheckSizes(t *testing.T) {
+	cases := []struct {
+		p, m, v int
+		wantErr string
+	}{
+		{p: 2, m: 3, v: 1},
+		{p: 1, m: 1, v: 1},
+		{p: 0, m: 3, v: 1, wantErr: "-p must be at least 1, got 0"},
+		{p: 2, m: 0, v: 1, wantErr: "-m must be at least 1, got 0"},
+		{p: 2, m: 3, v: 0, wantErr: "-v must be at least 1, got 0"},
+		{p: -1, m: -1, v: -1, wantErr: "-p must be at least 1, got -1"},
+	}
+	for _, tc := range cases {
+		err := checkSizes(tc.p, tc.m, tc.v)
+		got := ""
+		if err != nil {
+			got = err.Error()
+		}
+		if got != tc.wantErr {
+			t.Errorf("checkSizes(%d, %d, %d) = %v, want %q", tc.p, tc.m, tc.v, err, tc.wantErr)
+		}
+	}
+}

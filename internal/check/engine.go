@@ -328,9 +328,10 @@ func (c *collector) result(explorer string, budget int) *Result {
 // points the slot at each schedule's chooser before each rerun. The
 // slot implements sim.Crasher by delegation and reports via
 // CrashesArmed whether the inner chooser can actually inject faults, so
-// the kernel skips the per-step Crashes call for ordinary choosers. It
-// forwards ReadsSince too, so the kernel keeps the access log only for
-// a chooser that reads it.
+// the kernel skips the per-step Crashes call for ordinary choosers (an
+// armed one is polled in place and costs a coroutine switch only at a
+// step at which it names victims). It forwards ReadsSince too, so the
+// kernel keeps the access log only for a chooser that reads it.
 type chooserSlot struct {
 	ch      sim.Chooser
 	crasher sim.Crasher

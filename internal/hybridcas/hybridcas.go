@@ -44,6 +44,7 @@ package hybridcas
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/mem"
 	"repro/internal/qlocal"
@@ -128,7 +129,7 @@ func New(name string, levels int, initial mem.Word) *Object {
 		depth: mem.NewRegInit(name+".cell[g].depth", 0),
 	}
 	for v := 1; v <= levels; v++ {
-		o.hd[v] = qlocal.New(fmt.Sprintf("%s.Hd[%d]", name, v), genesisPacked)
+		o.hd[v] = qlocal.New(name+".Hd["+strconv.Itoa(v)+"]", genesisPacked)
 	}
 	return o
 }
@@ -146,10 +147,11 @@ func (o *Object) newCell(id int) (cellKey, *cell) {
 	}
 	o.tags[id] = tag + 1
 	k := cellKey{id: id + 1, tag: tag}
+	name := o.name + ".cell[" + strconv.Itoa(k.id) + "," + strconv.Itoa(k.tag) + "]"
 	cl := &cell{
-		val:   mem.NewReg(fmt.Sprintf("%s.cell[%d,%d].val", o.name, k.id, k.tag)),
-		nxt:   unicons.New(fmt.Sprintf("%s.cell[%d,%d].nxt", o.name, k.id, k.tag)),
-		depth: mem.NewReg(fmt.Sprintf("%s.cell[%d,%d].depth", o.name, k.id, k.tag)),
+		val:   mem.NewReg(name + ".val"),
+		nxt:   unicons.New(name + ".nxt"),
+		depth: mem.NewReg(name + ".depth"),
 	}
 	o.cells[k] = cl
 	return k, cl

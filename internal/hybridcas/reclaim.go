@@ -2,6 +2,7 @@ package hybridcas
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/mem"
 	"repro/internal/sim"
@@ -88,7 +89,7 @@ func (o *Object) FreedCells() int {
 func (r *reclaimState) activeReg(id int) *mem.Reg {
 	reg, ok := r.active[id]
 	if !ok {
-		reg = mem.NewReg(fmt.Sprintf("active[%d]", id))
+		reg = mem.NewReg("active[" + strconv.Itoa(id) + "]")
 		r.active[id] = reg
 	}
 	return reg

@@ -9,7 +9,10 @@
 // Invoke methods here are therefore unsynchronized by design.
 package mem
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // Word is the unit of shared storage. The paper packs whole records
 // (e.g. Fig. 5's hdtype = (id, tag, last)) into one word; packages
@@ -92,11 +95,16 @@ func NewRegArray(name string, n int) []*Reg {
 func NewRegArrayInit(name string, n int, v Word) []*Reg {
 	rs := make([]*Reg, n)
 	for i := range rs {
-		rs[i] = NewRegInit(fmt.Sprintf("%s[%d]", name, i), v)
+		rs[i] = NewRegInit(indexed(name, i), v)
 		rs[i].cell = i
 	}
 	return rs
 }
+
+// indexed returns name[i], the name of element i of an array named
+// name. It concatenates: objects created lazily build their names on
+// the statement path, where fmt's formatting shows in profiles.
+func indexed(name string, i int) string { return name + "[" + strconv.Itoa(i) + "]" }
 
 // NewRegMatrix allocates an n×m matrix of registers, all ⊥.
 func NewRegMatrix(name string, n, m int) [][]*Reg {
@@ -104,7 +112,7 @@ func NewRegMatrix(name string, n, m int) [][]*Reg {
 	for i := range rows {
 		rows[i] = make([]*Reg, m)
 		for j := range rows[i] {
-			rows[i][j] = NewReg(fmt.Sprintf("%s[%d][%d]", name, i, j))
+			rows[i][j] = NewReg(indexed(indexed(name, i), j))
 			rows[i][j].cell = i*m + j
 		}
 	}
@@ -117,7 +125,7 @@ func NewRegMatrixInit(name string, n, m int, v Word) [][]*Reg {
 	for i := range rows {
 		rows[i] = make([]*Reg, m)
 		for j := range rows[i] {
-			rows[i][j] = NewRegInit(fmt.Sprintf("%s[%d][%d]", name, i, j), v)
+			rows[i][j] = NewRegInit(indexed(indexed(name, i), j), v)
 			rows[i][j].cell = i*m + j
 		}
 	}
@@ -201,7 +209,7 @@ func (o *ConsObject) Reset() {
 func NewConsArray(name string, n, c int) []*ConsObject {
 	os := make([]*ConsObject, n)
 	for i := range os {
-		os[i] = NewConsObject(fmt.Sprintf("%s[%d]", name, i), c)
+		os[i] = NewConsObject(indexed(name, i), c)
 		os[i].cell = i
 	}
 	return os

@@ -1,6 +1,7 @@
 package mem_test
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -149,5 +150,35 @@ func TestCASObjectSemantics(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestArrayNamesMatchFmt pins the names the array constructors build by
+// concatenation to the fmt form they were built with before, byte for
+// byte: mem.HashName turns names into the object ids that footprints,
+// fingerprints, sleep sets and exported frontiers carry.
+func TestArrayNamesMatchFmt(t *testing.T) {
+	const n, m = 12, 11
+	check := func(got, want string) {
+		t.Helper()
+		if got != want {
+			t.Errorf("name %q, want %q", got, want)
+		}
+	}
+	for i, r := range mem.NewRegArray("a.P", n) {
+		check(r.Name(), fmt.Sprintf("%s[%d]", "a.P", i))
+	}
+	for i, r := range mem.NewRegArrayInit("b", n, 7) {
+		check(r.Name(), fmt.Sprintf("%s[%d]", "b", i))
+	}
+	for i, o := range mem.NewConsArray("c.cons", n, 3) {
+		check(o.Name(), fmt.Sprintf("%s[%d]", "c.cons", i))
+	}
+	for _, rows := range [][][]*mem.Reg{mem.NewRegMatrix("d", n, m), mem.NewRegMatrixInit("d", n, m, 0)} {
+		for i, row := range rows {
+			for j, r := range row {
+				check(r.Name(), fmt.Sprintf("%s[%d][%d]", "d", i, j))
+			}
+		}
 	}
 }

@@ -41,6 +41,7 @@ package qlocal
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/mem"
 	"repro/internal/sim"
@@ -115,8 +116,8 @@ func (o *Object) ensure(k int) {
 	//repro:bound m+1 the chain grows by at most the slots one operation can traverse: same-level interference plus the target slot (unbounded-array idealization)
 	for len(o.cells) <= k {
 		i := len(o.cells)
-		o.cells = append(o.cells, unicons.New(fmt.Sprintf("%s.cell[%d]", o.name, i)))
-		o.vals = append(o.vals, mem.NewReg(fmt.Sprintf("%s.val[%d]", o.name, i)))
+		o.cells = append(o.cells, unicons.New(o.name+".cell["+strconv.Itoa(i)+"]"))
+		o.vals = append(o.vals, mem.NewReg(o.name+".val["+strconv.Itoa(i)+"]"))
 	}
 }
 

@@ -60,8 +60,8 @@ func (h pickHook) Pick(d sim.Decision) int { h.compare(d); return h.inner.Pick(d
 func (h pickHook) ReadsSince() bool        { return sim.ReadsSince(h.inner) }
 
 // crashHook is an armed Crasher: the kernel polls it at every decision
-// point, singletons included, and makes every decision on Run's path.
-// It fires the inner chooser's crashes, if any.
+// point, singletons included, on the deciding process's coroutine or
+// in Run. It fires the inner chooser's crashes, if any.
 type crashHook struct{ *candidateCheck }
 
 func (h crashHook) Pick(d sim.Decision) int { h.compare(d); return h.inner.Pick(d) }

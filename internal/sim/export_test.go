@@ -12,3 +12,7 @@ func (s *System) RecomputeCandidates() []*Process {
 	}
 	return fresh
 }
+
+// Resumes returns how many times the kernel has resumed a process
+// coroutine, over every run of the system.
+func (s *System) Resumes() int64 { return s.resumes }

@@ -47,13 +47,20 @@ func (s *System) Run() error {
 		s.begin(next)
 		next.resume(grantRun)
 		// The process runs granted statements until a decision it makes
-		// itself (settle) hands the processor on or ends the run, or
-		// until it parks undecided: at program end, or while crashes are
-		// armed.
-		if s.decided {
+		// itself (settle) hands the processor on or ends the run, until
+		// the crash injector names victims at a step it decides, or until
+		// it parks undecided at program end.
+		switch {
+		case s.decided:
 			next, err = s.next, s.nextErr
 			s.next, s.decided = nil, false
-		} else {
+		case s.victims != nil:
+			for _, v := range s.victims {
+				s.crash(v)
+			}
+			s.victims = nil
+			next, err = s.choose()
+		default:
 			next, err = s.decide()
 		}
 	}
@@ -71,23 +78,35 @@ func (s *System) Run() error {
 	return errors.Join(errs...)
 }
 
-// decide makes one scheduling decision: it lets the crash injector halt
-// processes, collects the legal candidates, enforces the step limit and
-// lets the chooser pick among several candidates. It returns the
-// process to grant next, or nil once every program has finished; a
-// non-nil error ends the run. decide runs in Run or, via settle, on the
-// coroutine of the process that just parked; only Run reaches the crash
-// injector, since crashing a victim unwinds its coroutine.
+// decide makes one scheduling decision in Run: it crashes the victims
+// the crash injector names for this step, then chooses among the
+// survivors.
 func (s *System) decide() (*Process, error) {
-	cands := s.candidates()
-	if s.crasher != nil && !s.allDone() {
-		if victims := s.crasher.Crashes(Decision{Candidates: cands, Procs: s.procs, Step: s.steps, Sys: s, Since: s.since}); len(victims) > 0 {
-			for _, v := range victims {
-				s.crash(v)
-			}
-			cands = s.candidates()
-		}
+	for _, v := range s.pollCrashes() {
+		s.crash(v)
 	}
+	return s.choose()
+}
+
+// pollCrashes asks the armed crash injector, if any, for the victims of
+// this step, given its pre-crash candidates. It runs in Run or, via
+// settle, on the coroutine of the process that just parked; either way
+// only Run crashes the victims, since crashing a victim unwinds its
+// coroutine.
+func (s *System) pollCrashes() []*Process {
+	if s.crasher == nil || s.allDone() {
+		return nil
+	}
+	return s.crasher.Crashes(Decision{Candidates: s.candidates(), Procs: s.procs, Step: s.steps, Sys: s, Since: s.since})
+}
+
+// choose finishes a scheduling decision after its crash poll: it
+// collects the legal candidates, enforces the step limit and lets the
+// chooser pick among several candidates. It returns the process to
+// grant next, or nil once every program has finished; a non-nil error
+// ends the run.
+func (s *System) choose() (*Process, error) {
+	cands := s.candidates()
 	if len(cands) == 0 {
 		if s.allDone() {
 			return nil, nil
@@ -318,23 +337,29 @@ func (s *System) finish(p *Process, kind yieldKind, fp mem.Footprint) {
 }
 
 // settle runs on p's coroutine when p parks after a granted statement:
-// p finishes its own statement and, unless its program ended or crashes
-// are armed (the injector's victim may be p itself, and only the kernel
-// side unwinds coroutines), makes the next decision in place. It
-// reports whether that decision granted p again, in which case p
-// continues without a coroutine switch; otherwise the decision is left
-// in s.next/s.nextErr for Run. onCoro marks the span in which a chooser
-// or observer panic must escape Run rather than become p's error.
+// p finishes its own statement and, unless its program ended, makes
+// the next decision in place. It polls the crash injector first. If the
+// injector names victims, s.victims carries them to Run, which alone
+// unwinds coroutines (a victim may be p itself) and finishes the
+// decision. Otherwise settle chooses, and reports whether the choice
+// granted p again, in which case p continues without a coroutine
+// switch; any other choice is left in s.next/s.nextErr for Run. onCoro
+// marks the span in which a chooser, crash injector or observer panic
+// must escape Run rather than become p's error.
 func (s *System) settle(p *Process, kind yieldKind, fp mem.Footprint) bool {
 	s.onCoro = true
 	s.finish(p, kind, fp)
 	again := false
-	if kind != yieldDone && s.crasher == nil {
-		next, err := s.decide()
-		if again = next == p; again {
-			s.begin(p)
+	if kind != yieldDone {
+		if victims := s.pollCrashes(); len(victims) > 0 {
+			s.victims = victims
 		} else {
-			s.next, s.nextErr, s.decided = next, err, true
+			next, err := s.choose()
+			if again = next == p; again {
+				s.begin(p)
+			} else {
+				s.next, s.nextErr, s.decided = next, err, true
+			}
 		}
 	}
 	s.onCoro = false

@@ -29,10 +29,24 @@ func (o panicAt) OnSchedule(ev SchedEvent) {
 	}
 }
 
+// panicCrasher is a crash injector that panics with v at every step
+// after the first.
+type panicCrasher struct{ v any }
+
+func (panicCrasher) Pick(Decision) int { return 0 }
+
+func (c panicCrasher) Crashes(d Decision) []*Process {
+	if d.Step > 0 {
+		panic(c.v)
+	}
+	return nil
+}
+
 // TestKernelPanicsEscapeRun checks the contract for panics raised in the
-// chooser or observer while a process settles its statement on its own
-// coroutine: Run panics with the same value, no process reports it as
-// its program's failure, and Close still tears the system down.
+// chooser, crash injector or observer while a process settles its
+// statement on its own coroutine: Run panics with the same value, no
+// process reports it as its program's failure, and Close still tears
+// the system down.
 func TestKernelPanicsEscapeRun(t *testing.T) {
 	boom := errors.New("boom")
 	// Two processes each run two invocations of three statements. Under
@@ -50,6 +64,9 @@ func TestKernelPanicsEscapeRun(t *testing.T) {
 			}
 			return 0
 		})}},
+		// The crash poll after p0's first statement runs on p0's
+		// coroutine, like the Pick that follows it.
+		{"crasher", Config{Chooser: panicCrasher{boom}}},
 		{"observer statement", Config{Observer: panicAt{step: 1, v: boom}}},
 		{"observer arrival", Config{Observer: panicAt{step: 3, arrival: true, v: boom}}},
 		{"observer at program end", Config{Observer: panicAt{step: 5, v: boom}}},
@@ -83,23 +100,6 @@ func TestKernelPanicsEscapeRun(t *testing.T) {
 		})
 	}
 }
-
-// handoffs counts statements run by a different process than the
-// statement before them, the first statement included: each is a point
-// where the processor changed hands.
-type handoffs struct {
-	n    int64
-	last *Process
-}
-
-func (h *handoffs) OnStatement(ev StmtEvent) {
-	if ev.Proc != h.last {
-		h.n++
-		h.last = ev.Proc
-	}
-}
-
-func (*handoffs) OnSchedule(SchedEvent) {}
 
 // uniformPick picks candidates uniformly from a seeded linear
 // congruential stream. The tests of this package cannot import the
@@ -153,64 +153,6 @@ func uniconsSystem(cfg Config, n int) *System {
 			})
 	}
 	return sys
-}
-
-// unfinished counts the processes of sys that had not completed their
-// programs when the run ended.
-func unfinished(sys *System) int64 {
-	n := int64(0)
-	for _, p := range sys.procs {
-		if p.invIndex < len(p.invocations) {
-			n++
-		}
-	}
-	return n
-}
-
-// TestCoroutineSwitchesFollowHandoffs checks that the kernel resumes a
-// process coroutine only to hand it the processor or to unwind it. With
-// no crash injector armed, a completed run resumes exactly once per
-// handoff: Run takes each process's first yield without resuming it,
-// and a process that keeps the processor continues without a switch.
-// An aborted run resumes at most once more per process still live at
-// its end, to unwind it. Under the seeded uniform picks the lock-based
-// run starves, spinning its high-priority process through the whole
-// step budget, and the unicons run completes.
-func TestCoroutineSwitchesFollowHandoffs(t *testing.T) {
-	cases := []struct {
-		name     string
-		build    func(Config) *System
-		starving bool
-	}{
-		{"lockcounter", func(cfg Config) *System {
-			cfg.Quantum, cfg.MaxSteps = 2, 2000
-			return lockCounterSystem(cfg, 2, 2)
-		}, true},
-		{"unicons", func(cfg Config) *System {
-			cfg.Quantum = 8
-			return uniconsSystem(cfg, 3)
-		}, false},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			obs := &handoffs{}
-			sys := tc.build(Config{Processors: 1, Chooser: uniformPick(1), Observer: obs})
-			defer sys.Close()
-			runErr := sys.Run()
-			if starved := errors.Is(runErr, ErrStepLimit); starved != tc.starving || (!starved && runErr != nil) {
-				t.Fatalf("Run = %v, want starving %v", runErr, tc.starving)
-			}
-			lo, hi := obs.n, obs.n
-			if runErr != nil {
-				hi += unfinished(sys)
-			}
-			if sys.resumes < lo || sys.resumes > hi {
-				t.Fatalf("%d coroutine resumes for %d statements and %d handoffs, want %d to %d",
-					sys.resumes, sys.steps, obs.n, lo, hi)
-			}
-			t.Logf("%d statements, %d handoffs, %d resumes", sys.steps, obs.n, sys.resumes)
-		})
-	}
 }
 
 // crashAll is a crash injector that halts every process at the first

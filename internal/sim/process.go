@@ -53,9 +53,10 @@ type Invocation func(c *Ctx)
 // any time. Run takes a pass's first yield (thinking, or done for an
 // empty program) without resuming the body, so the first resume of a
 // pass is the process's first grant. A parking process settles its own
-// statement and makes the next scheduling decision in place, so it
-// switches back to the kernel only when that decision hands the
-// processor to another process (see System.settle). Data crosses a
+// statement and makes the next scheduling decision in place, crash poll
+// included, so it switches back to the kernel only when that decision
+// hands the processor to another process or ends the run, or when the
+// crash injector names victims (see System.settle). Data crosses a
 // switch through the grant/yKind/yFp fields.
 type Process struct {
 	id        int
@@ -318,9 +319,10 @@ func (p *Process) park(kind yieldKind, fp mem.Footprint) grantKind {
 
 // runProgram executes one full pass of the process's program, converting
 // panics into p.err exactly as the goroutine shell did. Kernel-initiated
-// aborts (errAborted) unwind silently, and a chooser or observer panic
-// raised while the process settled a statement (System.onCoro) is
-// re-raised: it leaves the coroutine and escapes Run with its value.
+// aborts (errAborted) unwind silently, and a chooser, crash injector or
+// observer panic raised while the process settled a statement
+// (System.onCoro) is re-raised: it leaves the coroutine and escapes Run
+// with its value.
 func (p *Process) runProgram() {
 	defer func() {
 		if r := recover(); r != nil && r != errAborted { //nolint:errorlint // sentinel identity

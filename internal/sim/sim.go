@@ -45,15 +45,17 @@
 // grant starts the coroutine (or resumes it where the previous run
 // left it). When a process parks after a statement, it does the
 // kernel's bookkeeping for the statement and makes the next scheduling
-// decision itself, on its own coroutine; if the decision grants it
-// again, it simply continues. Only a handoff to another process, the
-// end of its program, an error that ends the run, or a step while
-// crashes are armed switches back to the kernel, which alone resumes,
-// aborts and crashes coroutines. A statement the scheduler keeps on the
-// same process therefore costs no coroutine switch, and a handoff costs
-// two — no goroutines, channels, or scheduler trips either way; a
-// completed run with no crash injector armed resumes exactly once per
-// handoff.
+// decision itself, crash poll included, on its own coroutine; if the
+// decision grants it again, it simply continues. Only a handoff to
+// another process, the end of its program, an error that ends the run,
+// or a step at which the crash injector names victims switches back to
+// the kernel, which alone resumes, aborts and crashes coroutines. A
+// statement the scheduler keeps on the same process therefore costs no
+// coroutine switch, and a handoff costs two — no goroutines, channels,
+// or scheduler trips either way. A completed run in which nothing
+// crashes resumes exactly once per handoff, injector armed or not; each
+// step at which the injector names victims adds at most one resume, and
+// each victim it unwinds one more.
 //
 // The kernel keeps per statement only what a run reads. The access log
 // behind Decision.Since is kept only when the run's chooser reads it
@@ -174,7 +176,10 @@ func ReadsSince(ch Chooser) bool {
 
 // Crasher is an optional Chooser extension implementing crash-stop
 // fault injection. Before every scheduling step the kernel invites the
-// chooser to halt processes permanently: a crashed process never
+// chooser to halt processes permanently, with the step's pre-crash
+// candidates and before any Pick of the step. The call may run on the
+// coroutine of the process that executed the previous statement, as
+// Pick may; a panic escapes Run with its value. A crashed process never
 // executes another statement, its unfinished invocation stays
 // unfinished, and the scheduler treats it as departed — its quantum
 // protection and priority claims lapse without a preemption event, so
@@ -195,7 +200,9 @@ type Crasher interface {
 
 // crashArmed is the optional Crasher refinement consulted once per Run:
 // wrappers whose inner chooser decides crash capability implement it so
-// non-crashing runs pay no per-step Crashes overhead.
+// a run that cannot crash anything skips the per-step Crashes call. An
+// armed injector costs no coroutine switch by itself: the step it is
+// polled at goes back to Run only when it names victims.
 type crashArmed interface {
 	CrashesArmed() bool
 }
@@ -298,12 +305,15 @@ type System struct {
 	// crasher is the run's armed crash injector, or nil.
 	crasher Crasher
 	// next/nextErr carry a decision a process made on its own coroutine
-	// (settle) back to Run; decided marks them valid. onCoro is set while
-	// a process settles, so a panic out of the chooser or observer is
-	// told apart from a panic of the process's program.
+	// (settle) back to Run; decided marks them valid. victims carries
+	// back instead the crash victims the injector named at a step polled
+	// there, for Run to crash before it chooses. onCoro is set while a
+	// process settles, so a panic out of the chooser, crash injector or
+	// observer is told apart from a panic of the process's program.
 	next    *Process
 	nextErr error
 	decided bool
+	victims []*Process
 	onCoro  bool
 	// resumes counts coroutine resumes, for tests of the switch count.
 	resumes int64

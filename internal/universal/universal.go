@@ -20,6 +20,7 @@ package universal
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/mem"
 	"repro/internal/multicons"
@@ -110,7 +111,7 @@ func (u *core) ensure(k int) {
 	for len(u.slots) <= k {
 		i := len(u.slots)
 		u.slots = append(u.slots, u.newSlot(i))
-		u.vals = append(u.vals, mem.NewReg(fmt.Sprintf("%s.val[%d]", u.name, i)))
+		u.vals = append(u.vals, mem.NewReg(u.name+".val["+strconv.Itoa(i)+"]"))
 		u.states = append(u.states, nil)
 		u.rets = append(u.rets, mem.Bottom)
 	}
@@ -195,7 +196,7 @@ type Object struct{ u *core }
 // state and sequential specification.
 func New(name string, initial any, apply Apply) *Object {
 	return &Object{u: newCore(name, initial, apply, func(i int) decider {
-		return uniSlot{o: unicons.New(fmt.Sprintf("%s.slot[%d]", name, i))}
+		return uniSlot{o: unicons.New(name + ".slot[" + strconv.Itoa(i) + "]")}
 	})}
 }
 
@@ -232,7 +233,7 @@ func NewMulti(cfg multicons.Config, initial any, apply Apply) *MultiObject {
 	m := &MultiObject{cfg: cfg}
 	m.u = newCore(cfg.Name, initial, apply, func(i int) decider {
 		slotCfg := cfg
-		slotCfg.Name = fmt.Sprintf("%s.slot[%d]", cfg.Name, i)
+		slotCfg.Name = cfg.Name + ".slot[" + strconv.Itoa(i) + "]"
 		return multiSlot{
 			a:       multicons.New(slotCfg),
 			decided: mem.NewReg(slotCfg.Name + ".decided"),
