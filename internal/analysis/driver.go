@@ -7,9 +7,11 @@ import (
 	"fmt"
 	"go/parser"
 	"go/token"
+	"maps"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -157,8 +159,10 @@ type dirInfo struct {
 	// content hashes.
 	files  []string
 	hashes []string
-	// deps are root-relative dirs of module-internal imports.
-	deps []string
+	// deps are root-relative dirs of module-internal imports;
+	// testDeps those of the test files' imports.
+	deps     []string
+	testDeps []string
 }
 
 // dirState tracks one directory through the worker pool.
@@ -226,20 +230,8 @@ func RunDriver(opts DriverOptions) (*DriverResult, error) {
 		return nil, fmt.Errorf("patterns %v match no packages under %s", patterns, root)
 	}
 	needed := map[string]bool{}
-	var grow func(rel string)
-	grow = func(rel string) {
-		if needed[rel] {
-			return
-		}
+	for _, rel := range depClosure(infos, slices.Collect(maps.Keys(selected))) {
 		needed[rel] = true
-		for _, d := range infos[rel].deps {
-			if infos[d] != nil {
-				grow(d)
-			}
-		}
-	}
-	for rel := range selected {
-		grow(rel)
 	}
 
 	// Topological worker pool over the needed subgraph.
@@ -312,28 +304,6 @@ func RunDriver(opts DriverOptions) (*DriverResult, error) {
 		hits      int
 		misses    int
 	)
-	// transitiveDeps collects the needed dependency closure of rel,
-	// excluding rel.
-	transitiveDeps := func(rel string) []string {
-		seen := map[string]bool{}
-		var walk func(string)
-		walk = func(r string) {
-			for _, d := range infos[r].deps {
-				if infos[d] != nil && !seen[d] {
-					seen[d] = true
-					walk(d)
-				}
-			}
-		}
-		walk(rel)
-		out := make([]string, 0, len(seen))
-		for d := range seen {
-			out = append(out, d)
-		}
-		sort.Strings(out)
-		return out
-	}
-
 	loader := NewLoader(root)
 	worker := func() {
 		for {
@@ -350,7 +320,7 @@ func RunDriver(opts DriverOptions) (*DriverResult, error) {
 			st := states[rel]
 			// Snapshot dep facts and compute the cache key under the
 			// lock (deps are complete by topo order).
-			deps := transitiveDeps(rel)
+			deps := depClosure(infos, st.info.deps)
 			depFacts := map[string]*PackageFacts{}
 			depKeys := make([]string, 0, len(deps))
 			for _, d := range deps {
@@ -360,7 +330,7 @@ func RunDriver(opts DriverOptions) (*DriverResult, error) {
 				}
 				depKeys = append(depKeys, ds.key)
 			}
-			st.key = cacheKey(modPath, opts.Tests, st.info, depKeys)
+			st.key = cacheKey(modPath, opts.Tests, st.info, depKeys, testDepFiles(infos, st.info))
 			mu.Unlock()
 
 			var (
@@ -469,7 +439,7 @@ func scanDir(root, modPath, rel string, tests bool) (*dirInfo, error) {
 	}
 	info := &dirInfo{rel: rel, pkgPath: pkgPathFor(modPath, rel)}
 	fset := token.NewFileSet()
-	depSet := map[string]bool{}
+	depSet, testDepSet := map[string]bool{}, map[string]bool{}
 	for _, e := range entries {
 		name := e.Name()
 		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasPrefix(name, ".") {
@@ -485,19 +455,20 @@ func scanDir(root, modPath, rel string, tests bool) (*dirInfo, error) {
 		sum := sha256.Sum256(data)
 		info.files = append(info.files, name)
 		info.hashes = append(info.hashes, hex.EncodeToString(sum[:]))
+		f, err := parser.ParseFile(fset, name, data, parser.ImportsOnly)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", filepath.Join(rel, name), err)
+		}
 		// Dependency edges come from non-test files only: that is the
 		// compile graph, which Go keeps acyclic, and it is exactly the
 		// graph facts flow along (the interprocedural analyzers skip
 		// test files). Test imports may cycle — package foo's external
 		// test legally imports packages that import foo — so using them
-		// for ordering would wedge the topological pool. Test files
-		// still count toward the cache key via their content hashes.
+		// for ordering would wedge the topological pool. They count
+		// toward the cache key instead (testDepFiles).
+		set := depSet
 		if strings.HasSuffix(name, "_test.go") {
-			continue
-		}
-		f, err := parser.ParseFile(fset, name, data, parser.ImportsOnly)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", filepath.Join(rel, name), err)
+			set = testDepSet
 		}
 		for _, imp := range f.Imports {
 			path, err := strconv.Unquote(imp.Path.Value)
@@ -505,17 +476,15 @@ func scanDir(root, modPath, rel string, tests bool) (*dirInfo, error) {
 				continue
 			}
 			if depRel, ok := moduleRel(modPath, path); ok && depRel != rel {
-				depSet[depRel] = true
+				set[depRel] = true
 			}
 		}
 	}
 	if len(info.files) == 0 {
 		return nil, nil
 	}
-	for d := range depSet {
-		info.deps = append(info.deps, d)
-	}
-	sort.Strings(info.deps)
+	info.deps = slices.Sorted(maps.Keys(depSet))
+	info.testDeps = slices.Sorted(maps.Keys(testDepSet))
 	return info, nil
 }
 
@@ -570,10 +539,11 @@ func analyzeDir(loader *Loader, root string, info *dirInfo, tests bool, depFacts
 }
 
 // cacheKey fingerprints everything a directory's result depends on:
-// suite version, module, tests flag, the directory's file contents, and
-// the cache keys of its dependency closure (so a dep edit invalidates
-// dependents transitively).
-func cacheKey(modPath string, tests bool, info *dirInfo, depKeys []string) string {
+// suite version, module, tests flag, the directory's file contents, the
+// cache keys of its dependency closure (so a dep edit invalidates
+// dependents transitively), and the files its test packages import
+// beyond those (testDepFiles).
+func cacheKey(modPath string, tests bool, info *dirInfo, depKeys, testFiles []string) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "v%d\x00%s\x00%s\x00tests=%v\x00", suiteVersion, modPath, info.rel, tests)
 	for i, name := range info.files {
@@ -584,7 +554,46 @@ func cacheKey(modPath string, tests bool, info *dirInfo, depKeys []string) strin
 	for _, k := range sorted {
 		fmt.Fprintf(h, "dep\x00%s\x00", k)
 	}
+	for _, f := range testFiles {
+		fmt.Fprintf(h, "testdep\x00%s\x00", f)
+	}
 	return hex.EncodeToString(h.Sum(nil))
+}
+
+// depClosure returns, sorted, the dirs in roots and in their non-test
+// dependency closure, leaving out any dir without package files.
+func depClosure(infos map[string]*dirInfo, roots []string) []string {
+	seen := map[string]bool{}
+	var walk func(dirs []string)
+	walk = func(dirs []string) {
+		for _, d := range dirs {
+			if infos[d] != nil && !seen[d] {
+				seen[d] = true
+				walk(infos[d].deps)
+			}
+		}
+	}
+	walk(roots)
+	return slices.Sorted(maps.Keys(seen))
+}
+
+// testDepFiles lists the non-test files (as dir, name and content hash)
+// of every dir that info's test files import and of those dirs'
+// non-test dependency closure: what info's test packages are
+// type-checked against beyond info's own files and dependencies. File
+// hashes stand in for those dirs' cache keys because test imports may
+// cycle (the tests of internal/sched import internal/artifact, which
+// imports sched), so a key may not exist yet.
+func testDepFiles(infos map[string]*dirInfo, info *dirInfo) []string {
+	var files []string
+	for _, d := range depClosure(infos, info.testDeps) {
+		for i, name := range infos[d].files {
+			if !strings.HasSuffix(name, "_test.go") {
+				files = append(files, d+"\x00"+name+"\x00"+infos[d].hashes[i])
+			}
+		}
+	}
+	return files
 }
 
 // cacheEntry is the on-disk cache record. Positions are stored

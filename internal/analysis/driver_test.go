@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -143,6 +145,99 @@ func TestDriverResolvesModuleFromRoot(t *testing.T) {
 		}()
 		run(t)
 	})
+}
+
+// TestDriverCacheCoversTestImports pins that a dir's cache entry covers
+// what only its test files import: the packages they import directly
+// and those packages' own dependencies. An edit there that breaks the
+// dir's external test package must fail the next cached run exactly as
+// it fails an uncached one, though the dir's own files and non-test
+// dependencies are unchanged.
+func TestDriverCacheCoversTestImports(t *testing.T) {
+	for _, tc := range []struct {
+		name, file, edit, want string
+	}{
+		{
+			// b's test calls c.Make, which is renamed.
+			name: "direct",
+			file: "c/c.go",
+			edit: "package c\n\nimport \"m/a\"\n\n// MakeRenamed returns an a.T.\nfunc MakeRenamed() a.T { return 1 }\n",
+			want: "undefined: c.Make",
+		},
+		{
+			// b's test converts c.Make's a.T to int, and a.T becomes a
+			// string under c.
+			name: "through a dependency",
+			file: "a/a.go",
+			edit: "package a\n\n// T is what c.Make returns.\ntype T string\n",
+			want: "cannot convert",
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			root := writeModule(t, map[string]string{
+				"go.mod":      "module m\n\ngo 1.23\n",
+				"a/a.go":      "package a\n\n// T is what c.Make returns.\ntype T int\n",
+				"c/c.go":      "package c\n\nimport \"m/a\"\n\n// Make returns an a.T.\nfunc Make() a.T { return 1 }\n",
+				"b/b.go":      "package b\n\n// Two returns two.\nfunc Two() int { return 2 }\n",
+				"b/b_test.go": "package b_test\n\nimport (\n\t\"testing\"\n\n\t\"m/b\"\n\t\"m/c\"\n)\n\nfunc TestSum(t *testing.T) {\n\tif b.Two()+int(c.Make()) != 3 {\n\t\tt.Fail()\n\t}\n}\n",
+			})
+			opts := analysis.DriverOptions{Root: root, Patterns: []string{"./b"}, Tests: true, Cache: true, CacheDir: t.TempDir()}
+			res, err := analysis.RunDriver(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Analyzed != 1 || len(res.Diags) != 0 {
+				t.Fatalf("cold run analyzed %d dirs with findings %v, want 1 and none", res.Analyzed, res.Diags)
+			}
+			if err := os.WriteFile(filepath.Join(root, filepath.FromSlash(tc.file)), []byte(tc.edit), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			for _, cache := range []bool{true, false} {
+				opts.Cache = cache
+				if _, err := analysis.RunDriver(opts); err == nil || !strings.Contains(err.Error(), tc.want) {
+					t.Errorf("after the edit, cache %v: error %v, want %q", cache, err, tc.want)
+				}
+			}
+		})
+	}
+}
+
+// TestLoaderExternalTestSeesExportTest pins the export_test.go idiom: an
+// external test package sees what its package's in-package test files
+// declare, as go test builds it. The fixture's external test calls a
+// method export_test.go adds, on values from wrap, whose declarations
+// name the package under test, and from wrap/deep, whose declarations
+// reach it through wrap; so both must be re-checked against the package
+// with its test files.
+func TestLoaderExternalTestSeesExportTest(t *testing.T) {
+	root, err := analysis.FindModuleRoot(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const path = "repro/internal/analysis/testdata/exporttest"
+	loader := analysis.NewLoader(root)
+	pkgs, err := loader.LoadDir(filepath.Join("testdata", "exporttest"), path, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pkgs) != 2 || pkgs[1].Path != path+"_test" {
+		t.Fatalf("loaded %d packages, want the primary and %s_test", len(pkgs), path)
+	}
+	primary, external := pkgs[0].Types, pkgs[1].Types
+	imports := map[string]*types.Package{}
+	for _, imp := range external.Imports() {
+		imports[imp.Path()] = imp
+	}
+	if imports[path] != primary {
+		t.Errorf("%s_test imports a %s other than the primary package", path, path)
+	}
+	wrap, deep := imports[path+"/wrap"], imports[path+"/wrap/deep"]
+	if wrap == nil || !slices.Contains(wrap.Imports(), primary) {
+		t.Errorf("%s_test's wrap is not checked against the primary package", path)
+	}
+	if deep == nil || !slices.Contains(deep.Imports(), wrap) {
+		t.Errorf("%s_test's wrap/deep is not checked against its wrap", path)
+	}
 }
 
 // TestDriverDeterministicAcrossParallelism pins that the shared

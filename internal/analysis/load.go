@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"bytes"
 	"fmt"
 	"go/ast"
 	"go/build"
@@ -9,9 +10,12 @@ import (
 	"go/types"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
+	"unicode/utf8"
 )
 
 // A Package is one loaded, type-checked package plus its suppression
@@ -64,7 +68,9 @@ func (l *Loader) Fset() *token.FileSet { return l.fset }
 // LoadDir parses and type-checks the package in dir under import path
 // pkgPath. includeTests folds _test.go files in: in-package test files
 // join the primary package, external (foo_test) files form a second
-// returned package with path pkgPath+"_test".
+// returned package with path pkgPath+"_test". As go test builds it, the
+// external package imports the primary package, in-package test files
+// included (testVariant).
 func (l *Loader) LoadDir(dir, pkgPath string, includeTests bool) ([]*Package, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -113,15 +119,19 @@ func (l *Loader) LoadDir(dir, pkgPath string, includeTests bool) ([]*Package, er
 	}
 
 	var out []*Package
+	var imp types.ImporterFrom = l.imp
 	if len(primary) > 0 {
-		pkg, err := l.check(dir, pkgPath, primary, tests)
+		pkg, err := l.check(dir, pkgPath, primary, tests, imp)
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, pkg)
+		if slices.ContainsFunc(primary, func(f *ast.File) bool { return tests[f] }) {
+			imp = newTestVariant(l.imp, pkg.Types)
+		}
 	}
 	if len(external) > 0 {
-		pkg, err := l.check(dir, pkgPath+"_test", external, tests)
+		pkg, err := l.check(dir, pkgPath+"_test", external, tests, imp)
 		if err != nil {
 			return nil, err
 		}
@@ -130,7 +140,7 @@ func (l *Loader) LoadDir(dir, pkgPath string, includeTests bool) ([]*Package, er
 	return out, nil
 }
 
-func (l *Loader) check(dir, pkgPath string, files []*ast.File, tests map[*ast.File]bool) (*Package, error) {
+func (l *Loader) check(dir, pkgPath string, files []*ast.File, tests map[*ast.File]bool, imp types.ImporterFrom) (*Package, error) {
 	info := &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
 		Defs:       map[*ast.Ident]types.Object{},
@@ -138,7 +148,7 @@ func (l *Loader) check(dir, pkgPath string, files []*ast.File, tests map[*ast.Fi
 		Selections: map[*ast.SelectorExpr]*types.Selection{},
 		Scopes:     map[ast.Node]*types.Scope{},
 	}
-	conf := types.Config{Importer: l.imp}
+	conf := types.Config{Importer: imp}
 	tpkg, err := conf.Check(pkgPath, l.fset, files, info)
 	if err != nil {
 		return nil, fmt.Errorf("typecheck %s: %w", pkgPath, err)
@@ -213,8 +223,13 @@ func ModulePath(root string) (string, error) {
 
 // srcImporter type-checks imported packages from source, ignoring
 // function bodies, as the standard library's source importer does,
-// with three differences:
+// with four differences:
 //
+//   - it reads declarations only: each file is parsed with the body of
+//     every top-level function declaration blanked (blankFuncBodies),
+//     and each import no declaration names is dropped before the check
+//     (dropBodyImports), so a package's Imports lists only the imports
+//     its declarations use and a body-only import is never checked;
 //   - each package is type-checked once per importer, behind its own
 //     once, so concurrent checkers share one result;
 //   - module-internal paths resolve under root (go/build's ImportDir),
@@ -224,6 +239,14 @@ func ModulePath(root string) (string, error) {
 //     cgo never runs: a package with cgo files, such as net, checks its
 //     pure-Go fallback files instead, which export the same API
 //     (TestImporterMatchesSourceImporter).
+//
+// Reading declarations only changes no declaration's type: with
+// IgnoreFuncBodies set, go/types never checks a body and skips its
+// unused-import check (unusedImports, go/types/resolver.go), so neither
+// a blanked body nor a dropped import is seen. An import dropped by
+// mistake, one whose package name is neither its path's last element
+// nor the element before a major-version suffix, fails the check loudly
+// with "undefined"; neither the module nor the standard library has one.
 //
 // The import graph it walks is acyclic (the driver rejects module
 // import cycles, and the standard library has none), so the nested
@@ -284,29 +307,280 @@ func (p *srcImporter) ImportFrom(path, srcDir string, _ types.ImportMode) (*type
 		p.pkgs[path] = e
 	}
 	p.mu.Unlock()
-	e.once.Do(func() { e.pkg, e.err = p.check(path, dir) })
+	e.once.Do(func() { e.pkg, e.err = p.check(path, dir, p) })
 	return e.pkg, e.err
 }
 
-// check parses the Go files a build of dir selects and type-checks
-// them as package path.
-func (p *srcImporter) check(path, dir string) (*types.Package, error) {
+// check parses the declarations of the Go files a build of dir selects
+// and type-checks them as package path, resolving imports through imp.
+func (p *srcImporter) check(path, dir string, imp types.ImporterFrom) (*types.Package, error) {
 	bp, err := p.ctxt.ImportDir(dir, 0)
 	if err != nil {
 		return nil, err
 	}
 	files := make([]*ast.File, 0, len(bp.GoFiles))
 	for _, name := range bp.GoFiles {
-		f, err := parser.ParseFile(p.fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
+		filename := filepath.Join(dir, name)
+		src, err := os.ReadFile(filename)
 		if err != nil {
 			return nil, err
 		}
+		blankFuncBodies(src)
+		f, err := parser.ParseFile(p.fset, filename, src, parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		dropBodyImports(f)
 		files = append(files, f)
 	}
-	conf := types.Config{IgnoreFuncBodies: true, Importer: p, Sizes: p.sizes}
+	conf := types.Config{IgnoreFuncBodies: true, Importer: imp, Sizes: p.sizes}
 	pkg, err := conf.Check(path, p.fset, files, nil)
 	if err != nil {
 		return nil, fmt.Errorf("type-check %s: %w", path, err)
 	}
 	return pkg, nil
+}
+
+// testVariant resolves the imports of an external test package foo_test
+// as go test builds it: foo is the primary package, in-package test
+// files included, so foo_test sees what export_test.go declares; and
+// each module import whose declarations reach foo is type-checked again
+// against that primary package, so the two agree on foo's types. Every
+// other import is the shared srcImporter's. One testVariant serves one
+// type-check, which calls it from one goroutine.
+type testVariant struct {
+	base    *srcImporter
+	primary *types.Package
+	pkgs    map[string]*types.Package // re-checked imports, by path
+	reach   map[*types.Package]bool   // memo for reaches
+}
+
+func newTestVariant(base *srcImporter, primary *types.Package) *testVariant {
+	return &testVariant{base: base, primary: primary, pkgs: map[string]*types.Package{}, reach: map[*types.Package]bool{}}
+}
+
+func (v *testVariant) Import(path string) (*types.Package, error) {
+	return v.ImportFrom(path, ".", 0)
+}
+
+func (v *testVariant) ImportFrom(path, srcDir string, mode types.ImportMode) (*types.Package, error) {
+	if path == v.primary.Path() {
+		return v.primary, nil
+	}
+	if pkg := v.pkgs[path]; pkg != nil {
+		return pkg, nil
+	}
+	pkg, err := v.base.ImportFrom(path, srcDir, mode)
+	if err != nil || !v.reaches(pkg) {
+		return pkg, err
+	}
+	rel, _ := moduleRel(v.base.modPath, path) // only module packages reach
+	pkg, err = v.base.check(path, filepath.Join(v.base.root, filepath.FromSlash(rel)), v)
+	if err != nil {
+		return nil, err
+	}
+	v.pkgs[path] = pkg
+	return pkg, nil
+}
+
+// reaches reports whether pkg, one of the shared importer's packages,
+// is the package under test or keeps an import, transitively, that is.
+// Only module packages can: the standard library imports none.
+func (v *testVariant) reaches(pkg *types.Package) bool {
+	if r, ok := v.reach[pkg]; ok {
+		return r
+	}
+	r := false
+	if _, ok := moduleRel(v.base.modPath, pkg.Path()); ok {
+		r = pkg.Path() == v.primary.Path()
+		for _, q := range pkg.Imports() {
+			r = r || v.reaches(q)
+		}
+	}
+	v.reach[pkg] = r
+	return r
+}
+
+// blankFuncBodies overwrites with spaces every byte inside the body of
+// each top-level function declaration in src, newlines excepted. Each
+// body then parses as an empty block, and the file keeps its length, its
+// line offsets and every byte outside the bodies, so every position the
+// parser records outside them stays the same. Function literals, those
+// in package-level initializers included, are left alone.
+//
+// It lexes just enough Go to find the bodies: comments and string and
+// rune literals, which may hold braces; bracket nesting; and the
+// semicolons the lexer inserts at line ends, which end declarations. A
+// "func" that starts a declaration at depth 0 opens a signature; in it,
+// the first "{" at depth 0 that does not follow "struct" or "interface"
+// opens the body, and a semicolon at depth 0 before any such "{" ends a
+// declaration without a body (one implemented in assembly).
+func blankFuncBodies(src []byte) {
+	var (
+		depth     int    // open ( [ and { brackets
+		declStart = true // a semicolon, or the file start, ends what came before
+		canEnd    bool   // a newline here would insert a semicolon
+		typeBrace bool   // the last token is struct or interface
+		inSig     bool   // inside a top-level function signature
+		body      = -1   // offset of the open body's "{"
+		n         = len(src)
+	)
+	semicolon := func() {
+		if depth == 0 {
+			declStart, inSig = true, false
+		}
+		canEnd = false
+	}
+	for i := 0; i < n; {
+		c := src[i]
+		switch {
+		case c == '\n':
+			if canEnd {
+				semicolon()
+			}
+			i++
+			continue
+		case c == ' ' || c == '\t' || c == '\r':
+			i++
+			continue
+		case c == ';':
+			semicolon()
+			typeBrace = false
+			i++
+			continue
+		case c == '/' && i+1 < n && src[i+1] == '/':
+			for i < n && src[i] != '\n' {
+				i++
+			}
+			continue
+		case c == '/' && i+1 < n && src[i+1] == '*':
+			end := i + 2 + bytes.Index(src[i+2:], []byte("*/"))
+			if end < i+2 {
+				end = n
+			}
+			// A general comment holding a newline acts as one.
+			if canEnd && bytes.IndexByte(src[i:end], '\n') >= 0 {
+				semicolon()
+			}
+			i = end + 2
+			continue
+		}
+		atDecl, afterType := declStart && depth == 0, typeBrace
+		declStart, typeBrace, canEnd = false, false, true
+		switch {
+		case c == '"' || c == '\'':
+			for i++; i < n && src[i] != c && src[i] != '\n'; i++ {
+				if src[i] == '\\' {
+					i++
+				}
+			}
+			i++
+		case c == '`':
+			i++
+			for i < n && src[i] != '`' {
+				i++
+			}
+			i++
+		case isDigit(c) || c == '.' && i+1 < n && isDigit(src[i+1]):
+			for i++; i < n && (isWordByte(src[i]) || src[i] == '.'); i++ {
+			}
+		case isWordByte(c):
+			start := i
+			for i++; i < n && isWordByte(src[i]); i++ {
+			}
+			if depth > 0 {
+				break // only declarations and signatures matter
+			}
+			switch word := string(src[start:i]); word {
+			case "func":
+				inSig = inSig || atDecl
+			case "struct", "interface":
+				typeBrace = true
+			case "break", "continue", "fallthrough", "return":
+			default:
+				canEnd = !token.Lookup(word).IsKeyword()
+			}
+		case c == '(' || c == '[' || c == '{':
+			if c == '{' && inSig && depth == 0 && !afterType {
+				body, inSig = i, false
+			}
+			depth++
+			canEnd = false
+			i++
+		case c == ')' || c == ']' || c == '}':
+			depth--
+			if c == '}' && depth == 0 && body >= 0 {
+				for j := body + 1; j < i; j++ {
+					if src[j] != '\n' {
+						src[j] = ' '
+					}
+				}
+				body = -1
+			}
+			i++
+		case (c == '+' || c == '-') && i+1 < n && src[i+1] == c:
+			i += 2
+		default:
+			canEnd = false
+			i++
+		}
+	}
+}
+
+func isDigit(c byte) bool { return '0' <= c && c <= '9' }
+
+// isWordByte reports whether c may be part of an identifier, keyword or
+// number: non-ASCII bytes only occur in identifiers outside literals and
+// comments.
+func isWordByte(c byte) bool {
+	return 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || c == '_' || isDigit(c) || c >= utf8.RuneSelf
+}
+
+// dropBodyImports removes from f, once its function bodies are blanked,
+// every import that no selector expression left in f names: no
+// declaration's type can depend on it. Dot imports stay, since no
+// selector names them; blank imports go, since no declaration can. An
+// unnamed import binds its path's last element, or the element before
+// a major-version suffix ("math/rand/v2" binds rand); it stays if
+// either is named.
+func dropBodyImports(f *ast.File) {
+	used := map[string]bool{}
+	ast.Inspect(f, func(n ast.Node) bool {
+		if sel, ok := n.(*ast.SelectorExpr); ok {
+			if id, ok := sel.X.(*ast.Ident); ok {
+				used[id.Name] = true
+			}
+		}
+		return true
+	})
+	unused := func(spec ast.Spec) bool {
+		imp := spec.(*ast.ImportSpec)
+		if imp.Name != nil {
+			return imp.Name.Name != "." && !used[imp.Name.Name]
+		}
+		path, err := strconv.Unquote(imp.Path.Value)
+		if err != nil {
+			return false
+		}
+		elems := strings.Split(path, "/")
+		last := elems[len(elems)-1]
+		if v, ok := strings.CutPrefix(last, "v"); ok && len(elems) > 1 && v != "" && strings.Trim(v, "0123456789") == "" {
+			return !used[last] && !used[elems[len(elems)-2]]
+		}
+		return !used[last]
+	}
+	// An import declaration left empty goes too: one written without
+	// parentheses has no End once its spec is gone.
+	f.Imports = f.Imports[:0]
+	f.Decls = slices.DeleteFunc(f.Decls, func(decl ast.Decl) bool {
+		gen, ok := decl.(*ast.GenDecl)
+		if !ok || gen.Tok != token.IMPORT {
+			return false
+		}
+		gen.Specs = slices.DeleteFunc(gen.Specs, unused)
+		for _, spec := range gen.Specs {
+			f.Imports = append(f.Imports, spec.(*ast.ImportSpec))
+		}
+		return len(gen.Specs) == 0
+	})
 }

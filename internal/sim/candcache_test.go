@@ -23,18 +23,12 @@ type candidateCheck struct {
 	fails   int
 }
 
-// candidateScan is the from-scratch recomputation export_test.go adds
-// to *sim.System. The test reaches it through an interface because
-// reprolint type-checks an external test package against the package
-// without its _test.go files, where the method does not exist.
-type candidateScan interface{ RecomputeCandidates() []*sim.Process }
-
 func (c *candidateCheck) compare(d sim.Decision) {
 	c.checked++
 	if len(d.Candidates) == 1 {
 		c.singles++
 	}
-	want := any(d.Sys).(candidateScan).RecomputeCandidates()
+	want := d.Sys.RecomputeCandidates()
 	if slices.Equal(d.Candidates, want) {
 		return
 	}

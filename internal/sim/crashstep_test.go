@@ -12,13 +12,6 @@ import (
 	"repro/internal/sim"
 )
 
-// resumeCount is the coroutine resume counter export_test.go adds to
-// *sim.System, reached through an interface for the reason candidateScan
-// gives.
-type resumeCount interface{ Resumes() int64 }
-
-func resumes(sys *sim.System) int64 { return any(sys).(resumeCount).Resumes() }
-
 // switchLog records a run's events as text, with process IDs, and
 // counts what bounds its coroutine resumes: handoffs (statements run by
 // a different process than the statement before them, the first
@@ -73,7 +66,7 @@ func (l *switchLog) OnSchedule(ev sim.SchedEvent) {
 // unwind a process still in its program.
 func checkResumes(t *testing.T, sys *sim.System, log *switchLog, before int64, runErr error) {
 	t.Helper()
-	got := resumes(sys) - before
+	got := sys.Resumes() - before
 	hi := log.handoffs + log.crashSteps + log.victims
 	if runErr != nil {
 		hi += int64(len(sys.Processes())) - log.victims - log.done
@@ -138,7 +131,7 @@ func TestCoroutineSwitchesFollowHandoffs(t *testing.T) {
 			}
 			checkResumes(t, sys, log, 0, runErr)
 			t.Logf("%d statements, %d handoffs, %d victims at %d steps, %d resumes",
-				sys.Steps(), log.handoffs, log.victims, log.crashSteps, resumes(sys))
+				sys.Steps(), log.handoffs, log.victims, log.crashSteps, sys.Resumes())
 		})
 	}
 }
@@ -296,7 +289,7 @@ func TestCrashStepVictims(t *testing.T) {
 				if wd != nil {
 					wd.Rearm(cr)
 				}
-				before := resumes(sys)
+				before := sys.Resumes()
 				err := sys.Run()
 				if !errors.Is(err, tc.want) {
 					t.Fatalf("Run = %v, want %v", err, tc.want)
@@ -326,7 +319,7 @@ func TestCrashStepVictims(t *testing.T) {
 					len(got), err, len(ref), refErr, got, ref)
 			}
 			t.Logf("crashed %d at step %d of %d; %d handoffs, %d resumes over both runs",
-				len(cr.fired), cr.firedAt, sys.Steps(), log.handoffs, resumes(sys))
+				len(cr.fired), cr.firedAt, sys.Steps(), log.handoffs, sys.Resumes())
 		})
 	}
 }
