@@ -141,9 +141,9 @@ func main() {
 	}
 	// The output file is a bench.History: {"latest": <this report>,
 	// "history": [...]} — the stable `latest` key is what `make
-	// bench-gate` and the server's GET /bench read, while history keeps
-	// the trajectory across PRs. A pre-history bare report upgrades in
-	// place on the first append.
+	// bench-gate` reads, while history keeps the trajectory across PRs.
+	// A non-empty file without a `latest` key is an error, never
+	// overwritten.
 	prev, err := os.ReadFile(*out)
 	if err != nil && !os.IsNotExist(err) {
 		fatal(err)
@@ -181,8 +181,6 @@ func runGate(baselinePath string, drop float64) {
 	if err != nil {
 		fatal(fmt.Errorf("gate: reading baseline: %w", err))
 	}
-	// ParseHistory accepts both the history wrapper and a legacy bare
-	// report, so the gate works against baselines from either era.
 	h, err := bench.ParseHistory(data)
 	if err != nil {
 		fatal(fmt.Errorf("gate: parsing baseline %s: %w", baselinePath, err))

@@ -17,6 +17,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"os"
 
 	"repro/internal/bench"
 )
@@ -25,6 +26,10 @@ func main() {
 	exp := flag.String("exp", "all", "experiment: e3|e4|e5|e8|all")
 	seed := flag.Int64("seed", 1, "scheduler seed")
 	flag.Parse()
+	if err := checkExp(*exp); err != nil {
+		fmt.Fprintln(os.Stderr, "scaling:", err)
+		os.Exit(2)
+	}
 
 	if *exp == "e3" || *exp == "all" {
 		pts := bench.Fig3Scaling([]int{1, 2, 4, 8, 16, 32, 64, 128}, *seed)
@@ -51,4 +56,13 @@ func main() {
 	if *exp == "e8" || *exp == "all" {
 		fmt.Print(bench.ExpBaselineCurve([]int{1, 2, 4, 8, 12, 16}, 2, 1, 2))
 	}
+}
+
+// checkExp rejects an -exp that names no series.
+func checkExp(exp string) error {
+	switch exp {
+	case "e3", "e4", "e5", "e8", "all":
+		return nil
+	}
+	return fmt.Errorf("unknown -exp %q (want e3, e4, e5, e8 or all)", exp)
 }

@@ -39,7 +39,7 @@ import (
 func main() {
 	var (
 		addr     = flag.String("addr", ":8080", "listen address")
-		storeDir = flag.String("store", "./farm", "persistent store directory (jobs, artifacts, bench history)")
+		storeDir = flag.String("store", "./farm", "persistent store directory (jobs, artifacts, lint cache)")
 		workers  = flag.Int("workers", 0, "global exploration-worker budget shared across jobs (0 = all CPUs)")
 		maxJobs  = flag.Int("max-jobs", 0, "max concurrently running jobs (0 = 2)")
 		queue    = flag.Int("queue", 0, "bounded job-queue depth; a full queue rejects submissions (0 = 16)")

@@ -28,6 +28,10 @@ func main() {
 	q := flag.Int("q", 8, "scheduling quantum for the quantum-based figure")
 	outPath := flag.String("o", "", "write the rendered timelines to this file instead of stdout")
 	flag.Parse()
+	if err := checkFlags(*fig, *q); err != nil {
+		fmt.Fprintln(os.Stderr, "tracer:", err)
+		os.Exit(2)
+	}
 
 	var out io.Writer = os.Stdout
 	if *outPath != "" {
@@ -76,4 +80,18 @@ func main() {
 		fmt.Fprint(out, res.Trace)
 		fmt.Fprintf(out, "decisions=%v\n", res.Decisions)
 	}
+}
+
+// checkFlags rejects a -fig that names no figure and a negative
+// quantum, which no system can be built with.
+func checkFlags(fig string, q int) error {
+	switch fig {
+	case "1a", "1b", "both":
+	default:
+		return fmt.Errorf("unknown -fig %q (want 1a, 1b or both)", fig)
+	}
+	if q < 0 {
+		return fmt.Errorf("-q must be at least 0, got %d", q)
+	}
+	return nil
 }

@@ -31,16 +31,16 @@ func main() {
 		max    = flag.Int("max", 100000, "leaf cap")
 	)
 	flag.Parse()
+	if err := checkFlags(*alg, *n, *p, *c, *q); err != nil {
+		fmt.Fprintln(os.Stderr, "valency:", err)
+		os.Exit(2)
+	}
 
 	var scen valency.Scenario
-	switch *alg {
-	case "fig3":
+	if *alg == "fig3" {
 		scen = fig3Scenario(*n, *q)
-	case "exhaust":
+	} else {
 		scen = exhaustScenario(*n, *p, *c)
-	default:
-		fmt.Fprintf(os.Stderr, "valency: unknown -alg %q\n", *alg)
-		os.Exit(2)
 	}
 
 	var res *valency.Result
@@ -56,6 +56,31 @@ func main() {
 	case res.Critical > 0:
 		fmt.Println("no violations; every run leaves bivalence through a critical state (wait-free decision)")
 	}
+}
+
+// checkFlags rejects an unknown -alg and the flags of alg that no
+// scenario can be built from: a count below 1 or a negative quantum.
+// Flags alg does not read are not checked.
+func checkFlags(alg string, n, p, c, q int) error {
+	type bound struct {
+		name     string
+		val, min int
+	}
+	var bounds []bound
+	switch alg {
+	case "fig3":
+		bounds = []bound{{"n", n, 1}, {"q", q, 0}}
+	case "exhaust":
+		bounds = []bound{{"n", n, 1}, {"p", p, 1}, {"c", c, 1}}
+	default:
+		return fmt.Errorf("unknown -alg %q", alg)
+	}
+	for _, b := range bounds {
+		if b.val < b.min {
+			return fmt.Errorf("-%s must be at least %d, got %d", b.name, b.min, b.val)
+		}
+	}
+	return nil
 }
 
 func fig3Scenario(n, q int) valency.Scenario {

@@ -358,7 +358,7 @@ func buildSoakMix(m Meta, ch sim.Chooser, obs sim.Observer) (*sim.System, func(e
 		MaxSteps: defInt64(m.MaxSteps, 1<<22), Observer: observer})
 
 	cons := unicons.New("cons")
-	cas := hybridcas.NewReclaiming("cas", v, 0, 2)
+	cas := hybridcas.NewReclaiming("cas", v, n, 0, 2)
 	ctr := universal.NewCounter("ctr", 0)
 	q := universal.NewQueue("q")
 
@@ -409,7 +409,7 @@ func buildSoakMix(m Meta, ch sim.Chooser, obs sim.Observer) (*sim.System, func(e
 
 	sys.OnReset(func() {
 		cons.Reset()
-		cas = hybridcas.NewReclaiming("cas", v, 0, 2)
+		cas = hybridcas.NewReclaiming("cas", v, n, 0, 2)
 		ctr = universal.NewCounter("ctr", 0)
 		q = universal.NewQueue("q")
 		clear(consOuts)

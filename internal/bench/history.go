@@ -6,12 +6,11 @@ import (
 	"fmt"
 )
 
-// History is the shared bench-trajectory file format used by both the
-// committed BENCH_explore.json (cmd/benchjson) and the server's bench
-// store (internal/store, served at GET /bench): the most recent data
-// point lives at the stable "latest" key — which is what `make
-// bench-gate` compares against — and every appended point accumulates
-// in "history", oldest first. Entries are opaque JSON objects
+// History is the bench-trajectory file format of the committed
+// BENCH_explore.json (cmd/benchjson): the most recent data point lives
+// at the stable "latest" key — which is what `make bench-gate` compares
+// against — and every appended point accumulates in "history", oldest
+// first. Entries are opaque JSON objects
 // (cmd/benchjson's report schema; see EXPERIMENTS.md "Bench
 // trajectory"), so the format survives report-schema bumps without a
 // rewrite.
@@ -24,10 +23,10 @@ type History struct {
 // oldest entries, keeping the file size pinned across years of PRs.
 const HistoryCap = 100
 
-// ParseHistory decodes a bench file in either format: the {latest,
-// history} wrapper, or a bare legacy report (pre-wrapper
-// BENCH_explore.json), which is upgraded to a History whose single
-// entry is also its latest. nil or empty data yields an empty History.
+// ParseHistory decodes a {latest, history} bench file. nil or empty
+// data yields an empty History; any other document without a "latest"
+// key is an error, so an append never writes over a file it cannot
+// read.
 func ParseHistory(data []byte) (*History, error) {
 	if len(bytes.TrimSpace(data)) == 0 {
 		return &History{}, nil
@@ -36,17 +35,10 @@ func ParseHistory(data []byte) (*History, error) {
 	if err := json.Unmarshal(data, h); err != nil {
 		return nil, fmt.Errorf("bench: parse history: %w", err)
 	}
-	if h.Latest != nil {
-		return h, nil
+	if h.Latest == nil {
+		return nil, fmt.Errorf("bench: parse history: no \"latest\" key")
 	}
-	// Legacy single-report file: no "latest" key. Keep the whole document
-	// as the one (and latest) entry.
-	var legacy map[string]json.RawMessage
-	if err := json.Unmarshal(data, &legacy); err != nil {
-		return nil, fmt.Errorf("bench: parse legacy bench file: %w", err)
-	}
-	raw := json.RawMessage(bytes.TrimSpace(data))
-	return &History{Latest: raw, History: []json.RawMessage{raw}}, nil
+	return h, nil
 }
 
 // Append adds entry as the new latest data point, retiring overflow
@@ -61,8 +53,7 @@ func (h *History) Append(entry json.RawMessage) *History {
 }
 
 // Encode renders the history file as indented JSON with a trailing
-// newline, the on-disk form shared by BENCH_explore.json and the
-// store.
+// newline, BENCH_explore.json's on-disk form.
 func (h *History) Encode() ([]byte, error) {
 	data, err := json.MarshalIndent(h, "", "  ")
 	if err != nil {
@@ -71,8 +62,8 @@ func (h *History) Encode() ([]byte, error) {
 	return append(data, '\n'), nil
 }
 
-// AppendHistory is the one-shot form: parse existing (either format,
-// possibly empty), append entry, re-encode.
+// AppendHistory is the one-shot form: parse existing (possibly
+// empty), append entry, re-encode.
 func AppendHistory(existing, entry []byte) ([]byte, error) {
 	if !json.Valid(entry) {
 		return nil, fmt.Errorf("bench: appended entry is not valid JSON")

@@ -32,24 +32,20 @@ func TestParseHistoryEmpty(t *testing.T) {
 	}
 }
 
-func TestParseHistoryLegacyUpgrade(t *testing.T) {
-	// A pre-wrapper BENCH_explore.json is a bare report object; parsing
-	// must upgrade it to a single-entry history whose latest is the
-	// whole document.
-	legacy := []byte(`{"schema": 3, "go": "go1.23", "explore": {"schedules_per_sec": 100}}` + "\n")
-	h, err := bench.ParseHistory(legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(h.History) != 1 {
-		t.Fatalf("legacy upgrade: %d history entries, want 1", len(h.History))
-	}
-	var latest map[string]json.RawMessage
-	if err := json.Unmarshal(h.Latest, &latest); err != nil {
-		t.Fatal(err)
-	}
-	if string(latest["schema"]) != "3" {
-		t.Fatalf("legacy latest lost content: %s", h.Latest)
+func TestParseHistoryRejectsBareReport(t *testing.T) {
+	// A document without a "latest" key is not a history. Reading it as
+	// an empty one would let the next append write over the file.
+	for _, data := range []string{
+		`{"schema": 3, "go": "go1.23", "explore": {"schedules_per_sec": 100}}`,
+		`{"history": [{"run": 1}]}`,
+		`{}`,
+	} {
+		if h, err := bench.ParseHistory([]byte(data)); err == nil {
+			t.Errorf("ParseHistory(%s) = %+v, want an error", data, h)
+		}
+		if _, err := bench.AppendHistory([]byte(data), []byte(`{"run":2}`)); err == nil {
+			t.Errorf("AppendHistory over %s succeeded, want an error", data)
+		}
 	}
 }
 

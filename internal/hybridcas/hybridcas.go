@@ -287,8 +287,8 @@ func (o *Object) checkPri(c *sim.Ctx) {
 
 // Peek returns the object's current value by chasing decided nxt
 // pointers. Post-run inspection only. For a reclaiming object the walk
-// starts from the deepest live hint (earlier cells may have been
-// freed); otherwise from genesis.
+// starts from the deepest hint (earlier cells may have been freed), and
+// a hint that names a freed cell panics; otherwise from genesis.
 func (o *Object) Peek() mem.Word {
 	k := cellKey{id: 0, tag: 0}
 	if o.rec != nil {
@@ -297,7 +297,7 @@ func (o *Object) Peek() mem.Word {
 			//repro:allow post-run Peek walks hint registers only after the run completes
 			_, hv := qlocal.UnpackCur(o.hd[v].Hint().Load())
 			hk := unpackKey(hv)
-			if d := o.rec.depths[hk]; d >= best {
+			if d := o.hintDepth(hk); d >= best {
 				best, k = d, hk
 			}
 		}

@@ -18,7 +18,7 @@ func TestNamesMatchFmt(t *testing.T) {
 		}
 	}
 	const levels = 11
-	o := NewReclaiming("cas", levels, 0, 1)
+	o := NewReclaiming("cas", levels, 124, 0, 1)
 	for v := 1; v <= levels; v++ {
 		check(o.hd[v].Hint().Name(), fmt.Sprintf("%s.Hd[%d]", "cas", v)+".cur")
 	}

@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/bench"
 	"repro/internal/service"
 	"repro/internal/store"
 )
@@ -412,41 +411,6 @@ func TestMeasureJobEndToEnd(t *testing.T) {
 	code, _ = doJSON(t, "POST", ts.URL+"/jobs", `{"kind":"measure","measure":{"meta":{"workload":"unicons","n":2,"quantum":2},"sched_model":"markov:warp=1"}}`)
 	if code != http.StatusBadRequest {
 		t.Fatalf("bad model spec accepted: code %d, want 400", code)
-	}
-}
-
-func TestBenchEndpoints(t *testing.T) {
-	svc, ts := newFarm(t, service.Config{})
-	defer svc.Stop()
-	code, _ := doJSON(t, "POST", ts.URL+"/bench", `{"schema":3,"run":1}`)
-	if code != http.StatusCreated {
-		t.Fatalf("bench append: code %d", code)
-	}
-	code, _ = doJSON(t, "POST", ts.URL+"/bench", `{broken`)
-	if code != http.StatusBadRequest {
-		t.Fatalf("invalid bench entry: code %d, want 400", code)
-	}
-	resp, err := http.Get(ts.URL + "/bench")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := bench.ParseHistory(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var latest struct {
-		Run int `json:"run"`
-	}
-	if len(h.History) != 1 {
-		t.Fatalf("bench history has %d entries, want 1", len(h.History))
-	}
-	if err := json.Unmarshal(h.Latest, &latest); err != nil || latest.Run != 1 {
-		t.Fatalf("bench latest %s (err %v)", h.Latest, err)
 	}
 }
 

@@ -11,8 +11,8 @@ import (
 	"repro/internal/service/jobspec"
 )
 
-// maxBodyBytes bounds request bodies: job specs and bench reports are
-// small JSON documents, so anything bigger is a client error.
+// maxBodyBytes bounds request bodies: a job spec is a small JSON
+// document, so anything bigger is a client error.
 const maxBodyBytes = 1 << 20
 
 // Handler returns the service's REST API:
@@ -25,8 +25,6 @@ const maxBodyBytes = 1 << 20
 //	DELETE /jobs/{id}               cancel (checkpointing progress) → 202
 //	GET    /artifacts               list repro-bundle keys
 //	GET    /artifacts/{key}         fetch a repro bundle by content key
-//	GET    /bench                   the appended bench history
-//	POST   /bench                   append one bench report
 //	GET    /healthz                 liveness + job counts
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -38,8 +36,6 @@ func (s *Service) Handler() http.Handler {
 	mux.HandleFunc("DELETE /jobs/{id}", s.handleCancel)
 	mux.HandleFunc("GET /artifacts", s.handleArtifacts)
 	mux.HandleFunc("GET /artifacts/{key}", s.handleArtifact)
-	mux.HandleFunc("GET /bench", s.handleBenchGet)
-	mux.HandleFunc("POST /bench", s.handleBenchPost)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	return mux
 }
@@ -217,29 +213,6 @@ func (s *Service) handleArtifact(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.Write(data)
-}
-
-func (s *Service) handleBenchGet(w http.ResponseWriter, r *http.Request) {
-	data, err := s.st.BenchHistory()
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(data)
-}
-
-func (s *Service) handleBenchPost(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes))
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "read body: " + err.Error()})
-		return
-	}
-	if err := s.st.AppendBench(body); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
-		return
-	}
-	writeJSON(w, http.StatusCreated, map[string]string{"status": "appended"})
 }
 
 func (s *Service) handleHealthz(w http.ResponseWriter, r *http.Request) {

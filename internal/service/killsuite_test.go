@@ -158,8 +158,9 @@ func killRows(t *testing.T) []killRow {
 // each job kind it takes every durable write of an uninterrupted run in
 // turn (the check rows run two legs) and kills the service there,
 // once before that write's rename and once after it: the write and
-// every later one fail, then Kill stops the service, a fresh service
-// boots over the same store and runs the job to the end. Plain, fuzz
+// every later one fail, Stop returns once every goroutine that writes
+// has, and only then is the hook disarmed and a fresh service booted
+// over the same store to run the job to the end. Plain, fuzz
 // and soak jobs must reach the uninterrupted run's exact totals, a
 // fully reduced job its verdict; measure and lint jobs restart by
 // design and must only never leave a torn result. Every boot must
@@ -256,7 +257,7 @@ func runKillPoint(t *testing.T, row killRow, kp *killPoint, root, cacheFrom stri
 	case <-time.After(60 * time.Second):
 		t.Fatalf("write %d never began", kp.at)
 	}
-	svc.Kill()
+	svc.Stop() // every write still fails, so Stop's own writes are lost as a kill's would be
 	restore()
 
 	svc = boot()

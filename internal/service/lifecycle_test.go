@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/artifact"
+	"repro/internal/durable"
 	"repro/internal/service"
 	"repro/internal/service/jobspec"
 	"repro/internal/store"
@@ -74,11 +75,15 @@ func TestKillRestartEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			// Let a few legs checkpoint, then pull the plug. Kill suppresses
-			// all further persistence, so whatever leg is in flight is simply
-			// lost — the same observable state as a SIGKILL.
+			// Let a few legs checkpoint, then pull the plug: fail every
+			// durable write, stop the service, and disarm the hook only once
+			// Stop has returned, so the leg in flight and the graceful
+			// checkpoint are both lost — the same observable state as a
+			// SIGKILL.
 			waitJob(t, svc, id, "a few legs", func(s service.Status) bool { return s.Legs >= 3 })
-			svc.Kill()
+			restore := durable.SetFault(func(string, durable.Step) error { return errKilled })
+			svc.Stop()
+			restore()
 
 			// Boot a fresh service over the same store; the interrupted job
 			// must be requeued and run to completion.

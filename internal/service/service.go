@@ -272,8 +272,7 @@ type Service struct {
 	stopping bool
 
 	slots    chan struct{} // MaxActiveJobs tokens
-	shutdown chan struct{} // closed by Stop/Kill: interrupt running jobs
-	killed   chan struct{} // closed by Kill: suppress all further store writes
+	shutdown chan struct{} // closed by Stop: interrupt running jobs
 	wg       sync.WaitGroup
 }
 
@@ -281,8 +280,8 @@ type Service struct {
 // loaded, and jobs that were queued, running, or interrupted when the
 // previous process died are re-enqueued — running/interrupted ones
 // with Resumes bumped — so a kill at any point costs at most one
-// durability interval of work. Call Serve… via Handler and stop with
-// Stop (graceful) — Kill is the crash-simulation hook for tests.
+// durability interval of work. Serve it through Handler and stop it
+// with Stop.
 func New(cfg Config) (*Service, error) {
 	if cfg.Store == nil {
 		return nil, errors.New("service: Config.Store is required")
@@ -293,7 +292,6 @@ func New(cfg Config) (*Service, error) {
 		jobs:     map[string]*job{},
 		slots:    make(chan struct{}, cfg.maxActiveJobs()),
 		shutdown: make(chan struct{}),
-		killed:   make(chan struct{}),
 	}
 	s.cond = sync.NewCond(&s.mu)
 	if err := s.loadJobs(); err != nil {
@@ -479,7 +477,8 @@ func (s *Service) Events(id string) (*eventLog, error) {
 // Stop shuts the service down gracefully: no new jobs are accepted,
 // queued jobs stay queued (persisted, resumed next boot), and every
 // running job is interrupted at its next durability boundary and
-// checkpointed as interrupted.
+// checkpointed as interrupted. It returns once every goroutine that
+// writes to the store has returned.
 func (s *Service) Stop() {
 	s.mu.Lock()
 	alreadyStopping := s.stopping
@@ -490,40 +489,6 @@ func (s *Service) Stop() {
 		close(s.shutdown)
 	}
 	s.wg.Wait()
-}
-
-// Kill simulates a hard kill (SIGKILL) for tests: running jobs are
-// interrupted AND every subsequent store write of the service's own is
-// suppressed, so the on-disk state after Kill is exactly the state some
-// real kill could have left — the most recent atomically persisted
-// checkpoint of every job, with no graceful finalization on top. A
-// running soak job's campaign stops gracefully and still writes its
-// final checkpoint; tests that need that write lost too fail it through
-// durable.SetFault.
-func (s *Service) Kill() {
-	s.mu.Lock()
-	alreadyStopping := s.stopping
-	s.stopping = true
-	select {
-	case <-s.killed:
-	default:
-		close(s.killed)
-	}
-	s.cond.Broadcast()
-	s.mu.Unlock()
-	if !alreadyStopping {
-		close(s.shutdown)
-	}
-	s.wg.Wait()
-}
-
-func (s *Service) isKilled() bool {
-	select {
-	case <-s.killed:
-		return true
-	default:
-		return false
-	}
 }
 
 // stopRequested reports whether graceful shutdown has begun.
@@ -542,12 +507,8 @@ func (s *Service) logf(format string, args ...any) {
 	}
 }
 
-// persist writes a job's status.json — unless a simulated kill is in
-// effect, in which case the disk keeps whatever was last persisted.
+// persist writes a job's status.json.
 func (s *Service) persist(j *job) {
-	if s.isKilled() {
-		return
-	}
 	st := j.snapshot()
 	data, err := json.MarshalIndent(&st, "", "  ")
 	if err != nil {
@@ -796,7 +757,7 @@ func (s *Service) foldLeg(j *job, prog *checkProgress, res *check.Result, limit 
 		if v.Err != nil {
 			rec.Err = v.Err.Error()
 		}
-		if v.Artifact != nil && !s.isKilled() {
+		if v.Artifact != nil {
 			key, err := s.st.PutArtifact(v.Artifact)
 			if err != nil {
 				s.logf("%s: store artifact: %v", j.id, err)
@@ -834,11 +795,8 @@ func artifactKeys(viols []ViolationRecord) []string {
 	return keys
 }
 
-// persistProgress writes progress.json (suppressed after Kill).
+// persistProgress writes progress.json, then status.json.
 func (s *Service) persistProgress(j *job, prog *checkProgress) {
-	if s.isKilled() {
-		return
-	}
 	data, err := json.MarshalIndent(prog, "", "  ")
 	if err != nil {
 		s.logf("encode progress %s: %v", j.id, err)
@@ -912,7 +870,7 @@ func (s *Service) runSoak(j *job, workers int) {
 	var keys []string
 	for i := range state.Violations {
 		v := &state.Violations[i]
-		if v.Artifact == "" || s.isKilled() {
+		if v.Artifact == "" {
 			continue
 		}
 		key, err := s.st.ImportArtifact(v.Artifact)
@@ -989,9 +947,6 @@ func (s *Service) runLint(j *job, workers int) {
 	}
 	var keys []string
 	for _, blob := range [][]byte{sarif.Bytes(), bounds.Bytes()} {
-		if s.isKilled() {
-			break
-		}
 		key, err := s.st.PutRawArtifact(blob)
 		if err != nil {
 			s.finish(j, StateError, "store artifact", err)
@@ -1059,19 +1014,15 @@ func (s *Service) runMeasure(j *job, workers int) {
 		s.finish(j, StateError, "encode progress report", err)
 		return
 	}
-	var keys []string
-	if !s.isKilled() {
-		key, err := s.st.PutRawArtifact(append(blob, '\n'))
-		if err != nil {
-			s.finish(j, StateError, "store artifact", err)
-			return
-		}
-		keys = append(keys, key)
-		j.events.append("artifact", key)
+	key, err := s.st.PutRawArtifact(append(blob, '\n'))
+	if err != nil {
+		s.finish(j, StateError, "store artifact", err)
+		return
 	}
+	j.events.append("artifact", key)
 	j.mu.Lock()
 	j.status.Violations = res.ViolationsTotal
-	j.status.Artifacts = keys
+	j.status.Artifacts = []string{key}
 	j.mu.Unlock()
 	p := res.Progress
 	s.finish(j, StateDone,

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"math/rand/v2"
 	"slices"
-	"strings"
 	"testing"
 
 	"repro/internal/artifact"
@@ -61,20 +60,6 @@ func firstDiff(got, want []event) int {
 	return -1
 }
 
-// reclaimOrder reports whether two runs first differ at a known defect
-// outside the kernel: the reclaiming C&S inside soakmix ranges over a
-// map of Active registers, so at the same step the same process reads
-// them in a different order from one run to the next (the reclaiming
-// C&S item in ROADMAP.md). Past that point the runs may differ anyway.
-func reclaimOrder(got, want []event, i int) bool {
-	if i >= len(got) || i >= len(want) {
-		return false
-	}
-	g, w := got[i].stmt, want[i].stmt
-	return g.Proc != nil && g.Proc == w.Proc && g.Step == w.Step && g.Op == sim.OpRead && w.Op == sim.OpRead &&
-		strings.HasPrefix(g.Object, "active[") && strings.HasPrefix(w.Object, "active[")
-}
-
 // abortPoints returns the decision indices a reference run of n
 // decisions is aborted at: every one of the first 64, where processes
 // may still be fresh, then evenly spaced ones, about 200 more. That
@@ -104,9 +89,7 @@ func abortPoints(n int) []int {
 // a reference run is aborted at each of its decision indices in turn
 // (abortPoints), and the rerun after each abort must reproduce the
 // reference run's statement and scheduling events, outcome and
-// fingerprint exactly. The one exception is a rerun that first departs
-// from the reference at soakmix's map-ordered reclaim scan
-// (reclaimOrder), which is not compared further.
+// fingerprint exactly.
 func TestAbortedRunsLeaveNoTrace(t *testing.T) {
 	for _, name := range artifact.Workloads() {
 		meta, ok := workloadRows[name]
@@ -131,7 +114,6 @@ func TestAbortedRunsLeaveNoTrace(t *testing.T) {
 				t.Fatalf("%s: the reference run made no decision", name)
 			}
 			ks := abortPoints(len(ch.picks))
-			exact := 0
 			for _, k := range ks {
 				sys.Reset()
 				ch.n, ch.abortAt = 0, k
@@ -143,13 +125,9 @@ func TestAbortedRunsLeaveNoTrace(t *testing.T) {
 				log.evs = log.evs[:0]
 				err := sys.Run()
 				if i := firstDiff(log.evs, ref); i >= 0 {
-					if reclaimOrder(log.evs, ref, i) {
-						continue
-					}
 					t.Fatalf("rerun after an abort at decision %d departs from the reference at event %d of %d (got %d): got %+v, want %+v",
 						k, i, len(ref), len(log.evs), eventAt(log.evs, i), eventAt(ref, i))
 				}
-				exact++
 				if (err == nil) != (refErr == nil) || (err != nil && err.Error() != refErr.Error()) {
 					t.Fatalf("rerun after an abort at decision %d: Run = %v, want %v", k, err, refErr)
 				}
@@ -157,8 +135,8 @@ func TestAbortedRunsLeaveNoTrace(t *testing.T) {
 					t.Fatalf("rerun after an abort at decision %d: fingerprint %#x, want %#x", k, fp, refFP)
 				}
 			}
-			t.Logf("%d decisions, %d events, run error %v; %d of %d reruns compared exactly",
-				len(ch.picks), len(ref), refErr, exact, len(ks))
+			t.Logf("%d decisions, %d events, run error %v; %d reruns compared exactly",
+				len(ch.picks), len(ref), refErr, len(ks))
 		})
 	}
 }

@@ -1,11 +1,11 @@
 // Package store is the job service's persistent artifact store: one
 // directory tree holding everything the server must not lose across a
 // restart — per-job state (spec, status, progress, campaign state
-// directories), content-addressed repro bundles, and the appended bench
-// history. Every file is written by durable.WriteFile, so a crash at
-// any point leaves each file old or new, never torn, and two writers of
-// one file need no lock: a job's cancel and its runner can both persist
-// status.json, and two jobs can store one bundle at once. This is what
+// directories) and content-addressed repro bundles. Every file is
+// written by durable.WriteFile, so a crash at any point leaves each
+// file old or new, never torn, and two writers of one file need no
+// lock: a job's cancel and its runner can both persist status.json,
+// and two jobs can store one bundle at once. This is what
 // lets the server treat the store as the single source of truth on boot
 // and resume interrupted jobs from it. It matters at boot: the service
 // refuses to open a store whose status.json does not decode, which two
@@ -17,9 +17,7 @@
 //	jobs/job-000001/status.json    the server's job status record
 //	jobs/job-000001/progress.json  cumulative check-job result + frontier
 //	jobs/job-000001/state/         campaign state dir (soak jobs)
-//	jobs/job-000001/scratch/       per-job scratch artifact dir
 //	artifacts/<sha256>.json        content-addressed repro bundles
-//	bench.json                     appended bench history (internal/bench)
 //
 // Job IDs are dense ("job-%06d"): CreateJob scans the existing IDs and
 // allocates max+1, so IDs stay stable and sortable across restarts.
@@ -38,14 +36,13 @@ import (
 	"sync"
 
 	"repro/internal/artifact"
-	"repro/internal/bench"
 	"repro/internal/durable"
 )
 
 // Store is a handle on one store root. The mutex serializes ID
-// allocation and bench appends (a read-modify-write); everything else
-// is safe unserialized because each write renames its own complete
-// temporary file into place.
+// allocation (a scan, then a mkdir); everything else is safe
+// unserialized because each write renames its own complete temporary
+// file into place.
 type Store struct {
 	root string
 	mu   sync.Mutex
@@ -188,17 +185,6 @@ func (s *Store) StateDir(id string) (string, error) {
 	return filepath.Join(dir, "state"), nil
 }
 
-// ScratchDir returns a job's scratch artifact directory, where a
-// running job drops bundles before they are imported into the
-// content-addressed area.
-func (s *Store) ScratchDir(id string) (string, error) {
-	dir, err := s.jobDir(id)
-	if err != nil {
-		return "", err
-	}
-	return filepath.Join(dir, "scratch"), nil
-}
-
 // artifactKeyRe is the only artifact-key shape the store accepts
 // (lowercase sha256 hex), doubling as path-traversal protection.
 var artifactKeyRe = regexp.MustCompile(`^[0-9a-f]{64}$`)
@@ -246,8 +232,8 @@ func (s *Store) putBlob(key string, data []byte) error {
 	return durable.WriteFile(path, data)
 }
 
-// ImportArtifact loads a bundle file (e.g. from a job's scratch or
-// campaign artifact directory) and stores it content-addressed.
+// ImportArtifact loads a bundle file (a soak job's campaign writes
+// them under its state directory) and stores it content-addressed.
 func (s *Store) ImportArtifact(path string) (string, error) {
 	b, err := artifact.Load(path)
 	if err != nil {
@@ -287,37 +273,4 @@ func (s *Store) ArtifactKeys() ([]string, error) {
 	}
 	sort.Strings(keys)
 	return keys, nil
-}
-
-// benchPath is the store's appended bench-history file.
-func (s *Store) benchPath() string { return filepath.Join(s.root, "bench.json") }
-
-// AppendBench appends one bench report to the store's history file
-// (internal/bench {latest, history} format, shared with cmd/benchjson).
-func (s *Store) AppendBench(entry []byte) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	existing, err := os.ReadFile(s.benchPath())
-	if err != nil && !os.IsNotExist(err) {
-		return fmt.Errorf("store: %w", err)
-	}
-	merged, err := bench.AppendHistory(existing, entry)
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	return durable.WriteFile(s.benchPath(), merged)
-}
-
-// BenchHistory returns the store's bench history; an empty-but-valid
-// history when nothing was appended yet.
-func (s *Store) BenchHistory() ([]byte, error) {
-	data, err := os.ReadFile(s.benchPath())
-	if os.IsNotExist(err) {
-		h := &bench.History{}
-		return h.Encode()
-	}
-	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	return data, nil
 }

@@ -1,13 +1,11 @@
 package store_test
 
 import (
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"repro/internal/artifact"
-	"repro/internal/bench"
 	"repro/internal/store"
 )
 
@@ -168,45 +166,7 @@ func TestImportArtifact(t *testing.T) {
 	}
 }
 
-func TestBenchHistoryAppend(t *testing.T) {
-	s := open(t)
-	empty, err := s.BenchHistory()
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := bench.ParseHistory(empty)
-	if err != nil || len(h.History) != 0 {
-		t.Fatalf("empty store history: %v %v", h, err)
-	}
-	if err := s.AppendBench([]byte(`{"schema":3,"run":1}`)); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.AppendBench([]byte(`{"schema":3,"run":2}`)); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.AppendBench([]byte("{broken")); err == nil {
-		t.Fatal("invalid bench entry accepted")
-	}
-	data, err := s.BenchHistory()
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err = bench.ParseHistory(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(h.History) != 2 {
-		t.Fatalf("history has %d entries, want 2", len(h.History))
-	}
-	var latest struct {
-		Run int `json:"run"`
-	}
-	if err := json.Unmarshal(h.Latest, &latest); err != nil || latest.Run != 2 {
-		t.Fatalf("latest entry %s (err %v), want run 2", h.Latest, err)
-	}
-}
-
-func TestStateAndScratchDirsAreInsideJob(t *testing.T) {
+func TestStateDirIsInsideJob(t *testing.T) {
 	s := open(t)
 	id, err := s.CreateJob()
 	if err != nil {
@@ -216,16 +176,9 @@ func TestStateAndScratchDirsAreInsideJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scratch, err := s.ScratchDir(id)
-	if err != nil {
-		t.Fatal(err)
-	}
 	jobRoot := filepath.Join(s.Root(), "jobs", id)
-	for _, dir := range []string{state, scratch} {
-		rel, err := filepath.Rel(jobRoot, dir)
-		if err != nil || rel == ".." || filepath.IsAbs(rel) {
-			t.Fatalf("dir %s escapes job root %s", dir, jobRoot)
-		}
+	if rel, err := filepath.Rel(jobRoot, state); err != nil || rel == ".." || filepath.IsAbs(rel) {
+		t.Fatalf("dir %s escapes job root %s", state, jobRoot)
 	}
 	if _, err := s.StateDir("bogus"); err == nil {
 		t.Fatal("malformed id accepted")

@@ -175,12 +175,13 @@ func NewCAS(name string, levels int, initial Word) *CAS {
 	return hybridcas.New(name, levels, initial)
 }
 
-// NewReclaimingCAS returns a Fig. 5 C&S object that additionally bounds
-// its storage with quiescence-floor reclamation (the role the 4N+2-tag
-// recycling of [2] plays in the paper; see internal/hybridcas/reclaim.go
-// for guarantees and caveats).
-func NewReclaimingCAS(name string, levels int, initial Word, threshold int) *CAS {
-	return hybridcas.NewReclaiming(name, levels, initial, threshold)
+// NewReclaimingCAS returns a Fig. 5 C&S object, for the procs processes
+// with IDs 0..procs-1, that additionally bounds its storage with
+// quiescence-floor reclamation (the role the 4N+2-tag recycling of [2]
+// plays in the paper; see internal/hybridcas/reclaim.go for the proof,
+// guarantees and caveats).
+func NewReclaimingCAS(name string, levels, procs int, initial Word, threshold int) *CAS {
+	return hybridcas.NewReclaiming(name, levels, procs, initial, threshold)
 }
 
 // Renaming (§5 extensions).
