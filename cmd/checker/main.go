@@ -82,7 +82,7 @@ func main() {
 		frontOut   = flag.String("frontier-out", "", "when the exploration is cut short, write the unexplored frontier (subtrees, or the rest of the fuzz seed range) to this file")
 		frontIn    = flag.String("frontier-in", "", "seed the exploration from a frontier file written by -frontier-out instead of the root")
 		maxSteps   = flag.Int64("max-steps", 0, "per-run simulator step limit (0 = per-algorithm default)")
-		schedModel = flag.String("sched-model", "", "scheduler model for -mode fuzz and -measure (sched.ParseModelSpec grammar, e.g. markov:stay=0.8,seed=7; \"\" = seeded random / uniform)")
+		schedModel = flag.String("sched-model", "", "scheduler model for -mode fuzz and -measure (sched.ParseModelSpec grammar, e.g. markov:stay=0.8,seed=7; \"\" = uniform)")
 		measure    = flag.Bool("measure", false, "measure instead of check: fuzz -replays runs under -sched-model and report the per-invocation statement distribution")
 		measureOut = flag.String("measure-out", "", "write the measured check.ProgressStats JSON to this file")
 		replays    = flag.Int("replays", 0, "measured runs for -measure (0 = jobspec default)")

@@ -3,16 +3,16 @@
 //
 // -sched takes a scheduler model spec, the grammar of checker
 // -sched-model (sched.ParseModelSpec): rtc, rotate, script (candidate
-// 0 at every decision), random:seed=<n>, stagger:period=<n>,phase=<n>,
+// 0 at every decision), uniform:seed=<n>, stagger:period=<n>,phase=<n>,
 // or any other registered model. A count below 1 (-n, -p, -m, -v,
 // -ops), a negative -q, or a -k outside [0, -p], among the flags the
 // chosen algorithm reads, is rejected with exit status 2.
 //
 // Usage:
 //
-//	hybridsim -alg fig3 -n 8 -v 3 -q 8 -sched random:seed=7
+//	hybridsim -alg fig3 -n 8 -v 3 -q 8 -sched uniform:seed=7
 //	hybridsim -alg fig5 -n 6 -v 4 -ops 3 -q 32 -sched rotate
-//	hybridsim -alg fig7 -p 3 -k 1 -m 2 -v 2 -q 2048 -sched random:seed=1
+//	hybridsim -alg fig7 -p 3 -k 1 -m 2 -v 2 -q 2048 -sched uniform:seed=1
 //	hybridsim -alg fig7 -p 2 -k 1 -m 2 -q 2048 -sched stagger:period=8,phase=2
 //	hybridsim -alg fig9 -p 2 -k 0 -m 4 -v 2 -q 8 -sched rotate
 package main
@@ -42,7 +42,7 @@ func run() error {
 		v        = flag.Int("v", 1, "priority levels")
 		ops      = flag.Int("ops", 2, "operations per process (fig5)")
 		q        = flag.Int("q", 8, "scheduling quantum (statements)")
-		schedStr = flag.String("sched", "random:seed=1", "scheduler model spec: rtc|rotate|script|random:seed=<n>|stagger:period=<n>,phase=<n>|...")
+		schedStr = flag.String("sched", "uniform:seed=1", "scheduler model spec: rtc|rotate|script|uniform:seed=<n>|stagger:period=<n>,phase=<n>|...")
 		showTr   = flag.Bool("trace", false, "render the interleaving timeline")
 	)
 	flag.Parse()

@@ -140,8 +140,15 @@ func soakArtifact(path string) (string, error) {
 }
 
 func describe(b *artifact.Bundle) string {
-	if b.Sched.Random {
-		return fmt.Sprintf("random schedule seed %d, %d planned crashes", b.Sched.Seed, len(b.Meta.Crashes))
+	if !b.Sched.Scripted() {
+		model, seed := "uniform", b.Sched.Seed
+		if m := b.Sched.Model; m != nil {
+			model = m.Name
+			if seed == 0 {
+				seed = m.Seed
+			}
+		}
+		return fmt.Sprintf("%s schedule seed %d, %d planned crashes", model, seed, len(b.Meta.Crashes))
 	}
 	return fmt.Sprintf("%d decisions, %d planned crashes", len(b.Sched.Decisions), len(b.Meta.Crashes))
 }

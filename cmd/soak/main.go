@@ -95,7 +95,7 @@ func main() {
 		v          = flag.Int("v", 0, "priority levels for a fixed -workload (0 = workload default)")
 		q          = flag.Int("q", 0, "scheduling quantum for a fixed -workload (0 = workload default)")
 		wfBound    = flag.Int64("waitfree-bound", 0, "fail any fixed-workload run in which a live process exceeds this many of its own statements in one invocation (0 = off)")
-		schedModel = flag.String("sched-model", "", "replace the seeded-random schedule source with a scheduler model (simple sched.ParseModelSpec specs, e.g. markov:stay=0.8; per-run seeds still derive from -seed)")
+		schedModel = flag.String("sched-model", "", "scheduler model to draw schedules from (simple sched.ParseModelSpec specs, e.g. markov:stay=0.8; \"\" = uniform; per-run seeds still derive from -seed)")
 		artDir     = flag.String("artifact-dir", "", "write failing runs as repro bundles into this directory")
 		stateDir   = flag.String("state-dir", "", "journal and checkpoint progress into this directory (crash-safe, resumable)")
 		resume     = flag.String("resume", "", "resume the campaign persisted in this state directory (the spec is read from its checkpoint)")

@@ -1,7 +1,7 @@
 // Package artifact implements counterexample repro bundles: versioned,
 // JSON-serializable records of everything needed to deterministically
 // replay a violating run — workload identity and configuration, the
-// schedule (an explicit decision vector, or a seeded random strategy),
+// schedule (an explicit decision vector, or a seeded scheduler model),
 // crash plan, wait-freedom bound, the verifier's error text, and a
 // rendered timeline. Bundles are the currency of the forensics pipeline:
 // the exploration engine (internal/check) attaches them to violations,
@@ -16,12 +16,15 @@
 // contract therefore is: for a fixed Meta, the workload builder must be
 // a deterministic function of the decision sequence.
 //
-// Bundles come in two schedule modes. Script mode (Sched.Random false)
+// Bundles come in two schedule modes. Script mode (Sched.Scripted)
 // replays an explicit decision vector and an explicit crash plan — the
-// canonical, shrinkable form. Random mode (Sched.Random true) re-derives
-// the schedule and crash pattern from seeds, matching how fuzzers and
-// cmd/soak found the failure; Normalize converts it to script mode by
-// replaying once with recording wrappers.
+// canonical, shrinkable form. Seeded mode (a Sched.Model, or the
+// Sched.Random shorthand for the uniform model) re-derives the schedule
+// and crash pattern from seeds, matching how fuzzers and cmd/soak found
+// the failure; Normalize converts it to script mode by replaying once
+// with recording wrappers. Every seed is drawn through sched.NewRand,
+// so a seeded bundle names its run only for as long as those streams
+// stay fixed: Replay refuses a seeded bundle written before version 3.
 package artifact
 
 import (
@@ -39,15 +42,17 @@ import (
 	"repro/internal/trace"
 )
 
-// Version is the current bundle format version. Load rejects bundles
-// with a newer version; older versions are upgraded where possible.
-// Version history:
+// Version is the current bundle format version. Load and Replay reject
+// bundles with a newer version. Version history:
 //
 //	1: script and seeded-random schedule modes.
 //	2: adds Sched.Model — registered scheduler-model specs
-//	   (sched.ModelSpec) as a first-class schedule mode. Version-1
-//	   bundles load and replay unchanged.
-const Version = 2
+//	   (sched.ModelSpec) as a first-class schedule mode.
+//	3: every seeded stream (schedules, crash plans, soakmix content)
+//	   draws from sched.NewRand instead of math/rand. Replay refuses an
+//	   older bundle unless it is in script mode with no Meta.WorkSeed,
+//	   the one form whose run the change leaves alone.
+const Version = 3
 
 // Meta identifies the workload a bundle replays and its full
 // configuration. Field applicability varies by workload; unused fields
@@ -81,31 +86,52 @@ type Meta struct {
 }
 
 // Sched describes how the replay resolves scheduling nondeterminism.
-// Mode precedence: a non-nil Model selects model mode (version 2);
-// otherwise Random selects seeded-random mode; otherwise the bundle is
-// in script mode.
+// Mode precedence: a non-nil Model selects model mode; otherwise
+// Random selects the uniform model; otherwise the bundle is in script
+// mode.
 type Sched struct {
 	// Model, if non-nil, replays through a registered scheduler model
 	// (sched.NewFromSpec). A nonzero Seed overrides the spec's own
 	// seed, so campaign runs can share one spec and store only their
-	// derived per-run seed. Random-mode crash injection
-	// (CrashSeed/MaxCrashes/CrashProb) composes with model mode
-	// unchanged.
+	// derived per-run seed. Seeded crash injection
+	// (CrashSeed/MaxCrashes/CrashProb) composes with every model.
 	Model *sched.ModelSpec `json:"model,omitempty"`
-	// Random selects seeded-random mode; otherwise the bundle is in
-	// script mode and Decisions is replayed through sched.Script.
+	// Random, with no Model, is shorthand for the uniform model at
+	// Seed.
 	Random bool `json:"random,omitempty"`
 	// Decisions is the script-mode decision vector (candidate index at
 	// each decision point; past the end the replay picks candidate 0).
 	Decisions []int `json:"decisions,omitempty"`
-	// Seed seeds the random-mode chooser (and overrides the model's
-	// seed in model mode).
+	// Seed seeds the model (overriding the spec's own seed when
+	// nonzero).
 	Seed int64 `json:"seed,omitempty"`
-	// CrashSeed/MaxCrashes/CrashProb configure random-mode crash
-	// injection (sched.RandomCrash); MaxCrashes 0 disables it.
+	// CrashSeed/MaxCrashes/CrashProb configure seeded crash injection
+	// (sched.RandomCrash) around the model; MaxCrashes 0 disables it.
 	CrashSeed  int64   `json:"crash_seed,omitempty"`
 	MaxCrashes int     `json:"max_crashes,omitempty"`
 	CrashProb  float64 `json:"crash_prob,omitempty"`
+}
+
+// Scripted reports whether the schedule replays from explicit
+// decisions (script mode) rather than from seeds.
+func (s Sched) Scripted() bool { return s.Model == nil && !s.Random }
+
+// model returns the seeded-mode scheduler model: Model, the uniform
+// model for the Random shorthand, nil in script mode. A nonzero Seed
+// overrides the spec's own.
+func (s Sched) model() *sched.ModelSpec {
+	if s.Model == nil {
+		if !s.Random {
+			return nil
+		}
+		return &sched.ModelSpec{Name: "uniform", Seed: s.Seed}
+	}
+	if s.Seed == 0 {
+		return s.Model
+	}
+	spec := s.Model.Clone()
+	spec.Seed = s.Seed
+	return spec
 }
 
 // Bundle is one serializable counterexample.
@@ -183,6 +209,10 @@ func Replay(b *Bundle, opts ReplayOptions) (*Report, error) {
 	if b.Version > Version {
 		return nil, fmt.Errorf("artifact: bundle version %d newer than supported %d", b.Version, Version)
 	}
+	if b.Version < Version && (!b.Sched.Scripted() || b.Meta.WorkSeed != 0) {
+		return nil, fmt.Errorf("artifact: bundle version %d derives its run from the math/rand streams that version %d replaced; normalize it to script mode with an older build, or re-capture it",
+			b.Version, Version)
+	}
 	build, err := builderFor(b.Meta)
 	if err != nil {
 		return nil, err
@@ -190,22 +220,12 @@ func Replay(b *Bundle, opts ReplayOptions) (*Report, error) {
 
 	var ch sim.Chooser
 	var script *sched.Script
-	if b.Sched.Model != nil {
-		spec := b.Sched.Model
-		if b.Sched.Seed != 0 {
-			spec = spec.Clone()
-			spec.Seed = b.Sched.Seed
-		}
+	if spec := b.Sched.model(); spec != nil {
 		mch, err := sched.NewFromSpec(spec)
 		if err != nil {
 			return nil, fmt.Errorf("artifact: scheduler model: %w", err)
 		}
 		ch = mch
-		if b.Sched.MaxCrashes > 0 {
-			ch = sched.NewRandomCrash(ch, b.Sched.CrashSeed, b.Sched.MaxCrashes, b.Sched.CrashProb)
-		}
-	} else if b.Sched.Random {
-		ch = sched.NewRandom(b.Sched.Seed)
 		if b.Sched.MaxCrashes > 0 {
 			ch = sched.NewRandomCrash(ch, b.Sched.CrashSeed, b.Sched.MaxCrashes, b.Sched.CrashProb)
 		}

@@ -12,9 +12,7 @@ import (
 )
 
 // crashDigestFamilies are the workload configurations the crash digest
-// replays. soakmix is left out: its reclaiming C&S ranges over a map of
-// Active registers, so replays of one bundle may differ in step count
-// (the reclaim item in ROADMAP.md).
+// replays. soakmix has a digest of its own (TestSoakMixReplayDigest).
 var crashDigestFamilies = []struct {
 	meta  artifact.Meta
 	procs int
@@ -82,7 +80,7 @@ func firstLine(err error) string {
 // crashReplayDigest is the SHA-256 of every crash digest bundle's
 // recorded replay, one line per bundle: decisions, fired crash points,
 // fanouts, step count, crash count and verdict.
-const crashReplayDigest = "41682064b1f15b0b7733ad4d670ec37f8f5a58451caeca07d5fbdc4b1ce3e757"
+const crashReplayDigest = "a3050994e6cdf9b086464e65c24c7a209710da32033cfd382a81fb635675337c"
 
 // TestCrashReplayDigest pins the crash-injected runs of every
 // registered workload but soakmix: replayed with Record, each bundle

@@ -13,7 +13,7 @@ import (
 
 var modelMeta = artifact.Meta{Workload: "unicons", N: 3, V: 1, Quantum: 2, MaxSteps: 1 << 16}
 
-// TestModelBundleRoundTrip pins the version-2 serialization: a bundle
+// TestModelBundleRoundTrip pins the model-mode serialization: a bundle
 // carrying a scheduler-model spec saves, loads back byte-identically,
 // and replays deterministically.
 func TestModelBundleRoundTrip(t *testing.T) {
@@ -77,17 +77,16 @@ func TestModelSeedOverride(t *testing.T) {
 	}
 }
 
-// TestModelLegacyEquivalence is the artifact leg of the
-// behavior-preservation cross-check: a legacy random-mode bundle and a
-// model-mode bundle naming the random model (same seeds, same crash
-// knobs) replay byte-identically and normalize to byte-identical
-// script bundles.
+// TestModelLegacyEquivalence pins the Random shorthand: a Random
+// bundle and a model-mode bundle naming the uniform model (same seeds,
+// same crash knobs) replay byte-identically and normalize to
+// byte-identical script bundles.
 func TestModelLegacyEquivalence(t *testing.T) {
 	meta := modelMeta
-	legacy := &artifact.Bundle{Version: 1, Meta: meta,
+	legacy := &artifact.Bundle{Version: artifact.Version, Meta: meta,
 		Sched: artifact.Sched{Random: true, Seed: 5, CrashSeed: 9, MaxCrashes: 1, CrashProb: 0.05}}
 	model := &artifact.Bundle{Version: artifact.Version, Meta: meta,
-		Sched: artifact.Sched{Model: &sched.ModelSpec{Name: "random"}, Seed: 5, CrashSeed: 9, MaxCrashes: 1, CrashProb: 0.05}}
+		Sched: artifact.Sched{Model: &sched.ModelSpec{Name: "uniform"}, Seed: 5, CrashSeed: 9, MaxCrashes: 1, CrashProb: 0.05}}
 
 	lr, err := artifact.Replay(legacy, artifact.ReplayOptions{Record: true})
 	if err != nil {
@@ -125,6 +124,39 @@ func TestModelLegacyEquivalence(t *testing.T) {
 	ma, _ := json.Marshal(mn)
 	if string(la) != string(ma) {
 		t.Errorf("normalized bundles differ\n legacy: %s\n model:  %s", la, ma)
+	}
+}
+
+// TestReplayRefusesOldStreams: a bundle written before version 3 that
+// re-derives its run from seeds (the Random shorthand, a model, or
+// soakmix's Meta.WorkSeed) drew the math/rand streams, so Replay
+// refuses it instead of replaying another run under its name. An old
+// script-mode bundle without a WorkSeed still replays: its run is its
+// decision vector.
+func TestReplayRefusesOldStreams(t *testing.T) {
+	soak := artifact.Meta{Workload: "soakmix", N: 2, V: 1, Quantum: 24, WorkSeed: 7}
+	for _, version := range []int{1, 2} {
+		for _, tc := range []struct {
+			name string
+			b    *artifact.Bundle
+		}{
+			{"random", &artifact.Bundle{Meta: modelMeta, Sched: artifact.Sched{Random: true, Seed: 5}}},
+			{"model", &artifact.Bundle{Meta: modelMeta, Sched: artifact.Sched{Model: &sched.ModelSpec{Name: "uniform", Seed: 5}}}},
+			{"script with work seed", &artifact.Bundle{Meta: soak, Sched: artifact.Sched{Decisions: []int{1, 0, 1}}}},
+		} {
+			tc.b.Version = version
+			if _, err := artifact.Replay(tc.b, artifact.ReplayOptions{}); err == nil || !strings.Contains(err.Error(), "math/rand") {
+				t.Errorf("version %d %s bundle: Replay err = %v, want a math/rand stream refusal", version, tc.name, err)
+			}
+			tc.b.Version = artifact.Version
+			if _, err := artifact.Replay(tc.b, artifact.ReplayOptions{}); err != nil {
+				t.Errorf("version %d %s bundle: Replay: %v", artifact.Version, tc.name, err)
+			}
+		}
+		script := &artifact.Bundle{Version: version, Meta: modelMeta, Sched: artifact.Sched{Decisions: []int{1, 0, 1}}}
+		if _, err := artifact.Replay(script, artifact.ReplayOptions{}); err != nil {
+			t.Errorf("version %d script bundle refused: %v", version, err)
+		}
 	}
 }
 

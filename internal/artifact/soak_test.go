@@ -1,64 +1,80 @@
 package artifact_test
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"math"
-	"math/rand"
-	"reflect"
 	"testing"
 
 	"repro/internal/artifact"
-	"repro/internal/qlocal"
 )
 
-// mathRandSoakMeta is SoakMeta's derivation as written against
-// math/rand's own rand.NewSource: the reference the on-demand source
-// must reproduce bit for bit, since campaigns, bundles and recorded
-// reproductions name their runs by (base, crash base, index).
-func mathRandSoakMeta(base, crashBase, idx int64, maxCrashes int) (artifact.Meta, artifact.Sched) {
-	const golden = 0x9e3779b97f4a7c15
-	workSeed := int64(uint64(base) + uint64(idx)*golden)
-	rng := rand.New(rand.NewSource(workSeed))
-	n := 2 + rng.Intn(6)
-	levels := 1 + rng.Intn(3)
-	quantum := qlocal.RecommendedQuantum + rng.Intn(32)
-	schedSeed := rng.Int63()
-
-	meta := artifact.Meta{
-		Workload: "soakmix",
-		N:        n,
-		V:        levels,
-		Quantum:  quantum,
-		MaxSteps: 1 << 22,
-		WorkSeed: workSeed,
-	}
-	s := artifact.Sched{Random: true, Seed: schedSeed}
-	if k := min(maxCrashes, n-1); k > 0 {
-		s.CrashSeed = int64(uint64(crashBase) + uint64(idx)*golden)
-		s.MaxCrashes = k
-	}
-	return meta, s
+// soakIdentities are the campaign identities the soak stream pins
+// cover: the CI soak's base seed, an identity with a full crash budget,
+// and the int64 edges.
+var soakIdentities = []struct {
+	base, crash int64
+	maxCrashes  int
+}{
+	{1, 0, 2},
+	{11, 13, 6},
+	{math.MinInt64 + 7, math.MaxInt64, 0},
 }
 
-// TestSoakMetaMatchesMathRand: for run indices 0–9,999 under three
-// campaign identities, SoakMeta derives exactly the Meta and Sched the
-// math/rand derivation does.
-func TestSoakMetaMatchesMathRand(t *testing.T) {
-	ids := []struct {
-		base, crash int64
-		maxCrashes  int
-	}{
-		{1, 0, 2},
-		{11, 13, 6},
-		{math.MinInt64 + 7, math.MaxInt64, 0},
-	}
-	for _, id := range ids {
-		for idx := int64(0); idx < 10_000; idx++ {
-			gm, gs := artifact.SoakMeta(id.base, id.crash, idx, id.maxCrashes)
-			wm, ws := mathRandSoakMeta(id.base, id.crash, idx, id.maxCrashes)
-			if !reflect.DeepEqual(gm, wm) || !reflect.DeepEqual(gs, ws) {
-				t.Fatalf("base %d crash %d idx %d: SoakMeta = %+v %+v, math/rand derivation = %+v %+v",
-					id.base, id.crash, idx, gm, gs, wm, ws)
-			}
+// soakMetaDigest is the SHA-256 of SoakMeta over run indices 0–29,999
+// of every soakIdentities entry, one line per run.
+const soakMetaDigest = "286f29e6d8d7319b6a67f0e85b22dbc0bb850b29fdc26d567f6c1d810bc5cd45"
+
+// TestSoakMetaStreamDigest pins the soak derivation: campaigns,
+// bundles and recorded reproductions name their runs by (base, crash
+// base, index), so SoakMeta must keep deriving the same workload,
+// schedule seed and crash plan for each.
+func TestSoakMetaStreamDigest(t *testing.T) {
+	h := sha256.New()
+	for _, id := range soakIdentities {
+		for idx := int64(0); idx < 30_000; idx++ {
+			m, s := artifact.SoakMeta(id.base, id.crash, idx, id.maxCrashes)
+			fmt.Fprintf(h, "%d %d %d %d %d %d %d %d %d %d %v\n", idx, m.N, m.V, m.Quantum, m.MaxSteps, m.WorkSeed,
+				s.Seed, s.CrashSeed, s.MaxCrashes, math.Float64bits(s.CrashProb), s.Random)
 		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != soakMetaDigest {
+		t.Fatalf("SoakMeta digest %s, want %s", got, soakMetaDigest)
+	}
+}
+
+// soakReplayDigest is the SHA-256 of 300 recorded soakmix replays with
+// up to one crash each, one line per run.
+const soakReplayDigest = "fe5a37aa4549c09e7393c11c1d08477feb65284444efde68abe51ddc71b1483a"
+
+// TestSoakMixReplayDigest pins what a soak run executes: the workload
+// content soakmix derives from Meta.WorkSeed, the uniform schedule and
+// the crash plan. Each replay must make the same decisions, fire the
+// same crashes at the same steps and reach the same verdict.
+func TestSoakMixReplayDigest(t *testing.T) {
+	h := sha256.New()
+	var fired, failed int
+	for idx := int64(0); idx < 300; idx++ {
+		meta, s := artifact.SoakMeta(5101, 5101^0x5deece66d, idx, 1)
+		rep, err := artifact.Replay(&artifact.Bundle{Version: artifact.Version, Meta: meta, Sched: s},
+			artifact.ReplayOptions{Record: true})
+		if err != nil {
+			t.Fatalf("run %d: %v", idx, err)
+		}
+		fmt.Fprintf(h, "%d %v %v %d %d %q %q\n", idx, rep.Decisions, rep.Fired, rep.Steps, rep.Crashed,
+			firstLine(rep.Err), firstLine(rep.RunErr))
+		fired += len(rep.Fired)
+		if rep.Failed() {
+			failed++
+		}
+	}
+	got := hex.EncodeToString(h.Sum(nil))
+	t.Logf("300 soakmix runs, %d crashes fired, %d failing verdicts", fired, failed)
+	if failed != 0 {
+		t.Errorf("%d soakmix runs failed; soak runs of the fixed stack must be clean", failed)
+	}
+	if got != soakReplayDigest {
+		t.Fatalf("soakmix replay digest %s, want %s", got, soakReplayDigest)
 	}
 }

@@ -2,7 +2,6 @@ package artifact
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 
 	"repro/internal/baseline"
@@ -279,21 +278,17 @@ func buildLockCounter(m Meta, ch sim.Chooser, obs sim.Observer) (*sim.System, fu
 // edited by the shrinker — without re-deriving the operation mix.
 const soakOpsSalt = 0x736f616b6d6978 // "soakmix"
 
-// soakGolden is the Weyl increment soak runs use to derive per-run seeds
-// from a base seed.
-const soakGolden = 0x9e3779b97f4a7c15
-
 // SoakMeta derives run idx of a soak sweep: the randomized mixed
-// workload (its N, V, Q resolved into the Meta) plus the seeded-random
+// workload (its N, V, Q resolved into the Meta) plus the seeded uniform
 // schedule and crash plan cmd/soak executes. maxCrashes is capped at
 // N-1 so wait-freedom keeps a survivor to talk about.
 func SoakMeta(base, crashBase, idx int64, maxCrashes int) (Meta, Sched) {
-	workSeed := int64(uint64(base) + uint64(idx)*soakGolden)
-	rng := rand.New(sched.NewSource(workSeed))
-	n := 2 + rng.Intn(6)
-	levels := 1 + rng.Intn(3)
-	quantum := qlocal.RecommendedQuantum + rng.Intn(32)
-	schedSeed := rng.Int63()
+	workSeed := sched.RunSeed(base, idx)
+	rng := sched.NewRand(workSeed)
+	n := 2 + rng.IntN(6)
+	levels := 1 + rng.IntN(3)
+	quantum := qlocal.RecommendedQuantum + rng.IntN(32)
+	schedSeed := rng.Int64()
 
 	meta := Meta{
 		Workload: "soakmix",
@@ -305,7 +300,7 @@ func SoakMeta(base, crashBase, idx int64, maxCrashes int) (Meta, Sched) {
 	}
 	s := Sched{Random: true, Seed: schedSeed}
 	if k := min(maxCrashes, n-1); k > 0 {
-		s.CrashSeed = int64(uint64(crashBase) + uint64(idx)*soakGolden)
+		s.CrashSeed = sched.RunSeed(crashBase, idx)
 		s.MaxCrashes = k
 	}
 	return meta, s
@@ -314,14 +309,14 @@ func SoakMeta(base, crashBase, idx int64, maxCrashes int) (Meta, Sched) {
 // SeededMeta derives run idx of a fixed-workload soak sweep: unlike
 // SoakMeta, the workload identity (name, N, V, Quantum, wait-freedom
 // bound) is pinned by the caller and only the schedule — a seeded
-// random chooser plus an optional seeded crash plan — varies with the
+// uniform chooser plus an optional seeded crash plan — varies with the
 // run index. This is how a campaign soaks a single registered family
 // (e.g. the lockcounter negative control under a wait-freedom bound)
 // instead of the randomized soakmix: every run is still a pure
 // function of (spec, idx), so the campaign resumes and replays
 // exactly. maxCrashes is capped at N-1, matching SoakMeta.
 func SeededMeta(workload string, n, v, quantum int, wfBound int64, base, crashBase, idx int64, maxCrashes int) (Meta, Sched) {
-	schedSeed := int64(uint64(base) + uint64(idx)*soakGolden)
+	schedSeed := sched.RunSeed(base, idx)
 	meta := Meta{
 		Workload:      workload,
 		N:             n,
@@ -332,7 +327,7 @@ func SeededMeta(workload string, n, v, quantum int, wfBound int64, base, crashBa
 	s := Sched{Random: true, Seed: schedSeed}
 	procs := defInt(n, 2)
 	if k := min(maxCrashes, procs-1); k > 0 {
-		s.CrashSeed = int64(uint64(crashBase) + uint64(idx)*soakGolden)
+		s.CrashSeed = sched.RunSeed(crashBase, idx)
 		s.MaxCrashes = k
 	}
 	return meta, s
@@ -347,7 +342,7 @@ func SeededMeta(workload string, n, v, quantum int, wfBound int64, base, crashBa
 // auditor re-verifies Axioms 1-2 from the event stream.
 func buildSoakMix(m Meta, ch sim.Chooser, obs sim.Observer) (*sim.System, func(error) error) {
 	n, v := defInt(m.N, 2), defInt(m.V, 1)
-	opsRng := rand.New(sched.NewSource(m.WorkSeed ^ soakOpsSalt))
+	opsRng := sched.NewRand(m.WorkSeed ^ soakOpsSalt)
 
 	aud := sim.NewAuditor(m.Quantum)
 	var observer sim.Observer = aud
@@ -376,9 +371,9 @@ func buildSoakMix(m Meta, ch sim.Chooser, obs sim.Observer) (*sim.System, func(e
 		p.AddInvocation(func(c *sim.Ctx) {
 			consOuts[i] = cons.Decide(c, mem.Word(i+1))
 		})
-		ops := 1 + opsRng.Intn(3)
+		ops := 1 + opsRng.IntN(3)
 		for op := 0; op < ops; op++ {
-			switch opsRng.Intn(4) {
+			switch opsRng.IntN(4) {
 			case 0:
 				p.AddInvocation(func(c *sim.Ctx) {
 					for {

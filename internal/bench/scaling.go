@@ -9,10 +9,10 @@ import (
 	"repro/internal/unicons"
 )
 
-// series runs one internal/core scenario per x under the seeded random
+// series runs one internal/core scenario per x under the seeded uniform
 // scheduler and collects its worst-case statements per operation.
 func series(name string, xs []int, seed int64, run func(x int, spec string) (int64, error)) []ScalingPoint {
-	spec := fmt.Sprintf("random:seed=%d", seed)
+	spec := fmt.Sprintf("uniform:seed=%d", seed)
 	pts := make([]ScalingPoint, 0, len(xs))
 	for _, x := range xs {
 		stmts, err := run(x, spec)

@@ -35,8 +35,8 @@ type Config struct {
 	// (ignored for soakmix).
 	N, V, Quantum int
 	WaitFreeBound int64
-	// SchedModel, when non-nil, replaces the default seeded-random
-	// schedule source with a registered scheduler model: every derived
+	// SchedModel, when non-nil, names the registered scheduler model
+	// the runs draw their schedules from (nil = uniform): every derived
 	// run replays the model with its per-run derived seed (the
 	// artifact.Sched.Seed override), so the campaign stays a
 	// deterministic function of (identity, index). Use simple
@@ -122,9 +122,10 @@ func (c Config) derive() func(int64) (artifact.Meta, artifact.Sched) {
 		return c.Derive
 	}
 	base, crash, max := c.BaseSeed, c.CrashSeed, c.MaxCrashes
-	// withModel rewrites a derived random-mode Sched into model mode:
-	// the shared spec plus the per-run derived seed (which overrides the
-	// spec's own seed at replay), with the crash knobs untouched.
+	// withModel swaps the derivations' uniform shorthand (Sched.Random)
+	// for the configured model: the shared spec plus the per-run derived
+	// seed (which overrides the spec's own seed at replay), with the
+	// crash knobs untouched.
 	withModel := func(s artifact.Sched) artifact.Sched {
 		if c.SchedModel != nil {
 			s.Model = c.SchedModel

@@ -344,6 +344,26 @@ func TestCampaignIdentityMismatch(t *testing.T) {
 	}
 }
 
+// TestCampaignRefusesOldCheckpoint: a state directory whose checkpoint
+// predates the current stream version (its runs were derived from the
+// math/rand streams) is refused on resume, not re-derived under the
+// current streams.
+func TestCampaignRefusesOldCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	runLeg(t, testConfig(dir))
+	cp, err := LoadCheckpoint(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp.Version = checkpointVersion - 1
+	if err := WriteCheckpoint(dir, cp); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Run(testConfig(dir)); err == nil || !strings.Contains(err.Error(), "math/rand") {
+		t.Fatalf("old checkpoint not refused: %v", err)
+	}
+}
+
 // TestCampaignStopOnViolation: classic soak behavior — stop at the
 // first violation, which at Parallelism 1 is exactly run index 3.
 func TestCampaignStopOnViolation(t *testing.T) {

@@ -10,8 +10,11 @@ import (
 	"repro/internal/durable"
 )
 
-// checkpointVersion guards the snapshot format.
-const checkpointVersion = 1
+// checkpointVersion guards the snapshot format and the streams its
+// runs derive from. Version 2 campaigns derive every run through
+// sched.NewRand; a version-1 campaign drew math/rand streams, so its
+// run indices name different runs now and LoadCheckpoint refuses it.
+const checkpointVersion = 2
 
 // Identity pins a state directory to one campaign: resuming with
 // different seeds, crash settings, or workload parameters would
@@ -35,9 +38,8 @@ type Identity struct {
 	Quantum       int   `json:"quantum,omitempty"`
 	WaitFreeBound int64 `json:"waitfree_bound,omitempty"`
 	// SchedModel is the canonical scheduler-model spec string
-	// (sched.ModelSpec.String) when the campaign replaces the default
-	// seeded-random schedule source; empty for the default, so
-	// pre-existing checkpoints load unchanged.
+	// (sched.ModelSpec.String) when the campaign names a model; empty
+	// for the uniform default.
 	SchedModel string `json:"sched_model,omitempty"`
 }
 
@@ -189,6 +191,10 @@ func LoadCheckpoint(dir string) (*Checkpoint, error) {
 	}
 	if cp.Version > checkpointVersion {
 		return nil, fmt.Errorf("campaign: checkpoint version %d newer than supported %d", cp.Version, checkpointVersion)
+	}
+	if cp.Version < checkpointVersion {
+		return nil, fmt.Errorf("campaign: checkpoint version %d derives its runs from the math/rand streams that version %d replaced, so its run indices name other runs now; start the campaign over in a fresh state directory",
+			cp.Version, checkpointVersion)
 	}
 	return cp, nil
 }

@@ -227,13 +227,12 @@ type Options struct {
 	// Frontier.Explorer).
 	SeedFrontier *Frontier
 	// SchedModel selects the scheduler model Fuzz draws schedules from
-	// (nil = the historical seeded sched.Random). Each seed's chooser
-	// is the model rebuilt (or reseeded, for Reseedable single-node
-	// specs) with every stochastic node's seed derived from (its
-	// configured seed, the run seed) — so the sweep is deterministic
-	// per (spec, seed range) and any single run replays from its
-	// derived spec. Wrapper specs (e.g. randomcrash around markov)
-	// inject faults exactly as the legacy crash-fuzz wiring did. The
+	// (nil = uniform at seed 0). Each seed's chooser is the model
+	// rebuilt (or reseeded, for Reseedable single-node specs) with
+	// every stochastic node's seed derived from (its configured seed,
+	// the run seed) — so the sweep is deterministic per (spec, seed
+	// range) and any single run replays from its derived spec.
+	// Wrapper specs (e.g. randomcrash around markov) inject faults. The
 	// spec must validate (sched.ModelSpec.Validate); Fuzz panics on an
 	// invalid spec, as on any builder misuse. Tree explorers ignore
 	// SchedModel: their schedules are decision vectors, not draws.

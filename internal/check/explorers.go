@@ -243,8 +243,8 @@ func (s *budgetStrategy) frontier(it *budgetItem) FrontierItem {
 }
 
 // Fuzz runs nSeeds seeded pseudo-random schedules, sharding the seed
-// range over opts.Parallelism workers. Options.SchedModel swaps the
-// schedule source for a registered scheduler model; Options.Measure
+// range over opts.Parallelism workers. Options.SchedModel names the
+// scheduler model the schedules come from (nil = uniform); Options.Measure
 // additionally accumulates the empirical progress-bound report into
 // Result.Progress. A seeded frontier starts the range at its first seed
 // not yet run.
@@ -310,14 +310,13 @@ func Fuzz(build Builder, nSeeds int, opts Options) *Result {
 // seedItem is one Fuzz run: its seed.
 type seedItem struct{ seed int64 }
 
-// seedStrategy draws a Fuzz run's schedule from its seed: the legacy
-// seeded Random (reseeded in place per run), a Reseedable single-node
-// model (reseeded in place with the derived run seed), or a full per-run
-// model rebuild for wrapper and non-reseedable specs. A recorder wraps
-// the source when violations need decision vectors.
+// seedStrategy draws a Fuzz run's schedule from its seed and the
+// scheduler model: a Reseedable single-node model is reseeded in place
+// with the derived run seed, and wrapper and non-reseedable specs are
+// rebuilt per run. A recorder wraps the source when violations need
+// decision vectors.
 type seedStrategy struct {
 	spec *sched.ModelSpec
-	rng  *sched.Random
 	fast sched.Reseedable
 	rec  *sched.Record
 }
@@ -325,8 +324,9 @@ type seedStrategy struct {
 func newSeedStrategy(opts Options) *seedStrategy {
 	s := &seedStrategy{spec: opts.SchedModel}
 	if s.spec == nil {
-		s.rng = sched.NewRandom(0)
-	} else if s.spec.Inner == nil {
+		s.spec = &sched.ModelSpec{Name: "uniform"}
+	}
+	if s.spec.Inner == nil {
 		if base, err := sched.NewFromSpec(s.spec); err == nil {
 			s.fast, _ = base.(sched.Reseedable)
 		}
@@ -339,14 +339,10 @@ func newSeedStrategy(opts Options) *seedStrategy {
 
 func (s *seedStrategy) reset(it *seedItem) sim.Chooser {
 	var ch sim.Chooser
-	switch {
-	case s.rng != nil:
-		s.rng.Reseed(it.seed)
-		ch = s.rng
-	case s.fast != nil:
+	if s.fast != nil {
 		s.fast.Reseed(sched.RunSeed(s.spec.Seed, it.seed))
 		ch = s.fast
-	default:
+	} else {
 		var err error
 		if ch, err = sched.NewFromSpec(s.spec.WithRunSeed(it.seed)); err != nil {
 			panic(err) // unreachable: spec validated at entry

@@ -14,7 +14,6 @@ import (
 // stochastic inner model; the randomcrash row is the matrix's
 // crash-injection coverage.
 var fuzzModelSpecs = map[string]string{
-	"random":      "random:seed=11",
 	"uniform":     "uniform:seed=11",
 	"markov":      "markov:stay=0.8,seed=4",
 	"noisy":       "noisy:eps=0.15,seed=6",
@@ -149,17 +148,22 @@ func TestMeasureGap(t *testing.T) {
 	}
 }
 
-// TestMeasureLegacyPath pins that Measure works on the historical
-// seeded-random path (SchedModel nil) and stays deterministic across
+// TestMeasureLegacyPath pins that Measure works with SchedModel nil,
+// which is the uniform model at seed 0, and stays deterministic across
 // parallelism there too.
 func TestMeasureLegacyPath(t *testing.T) {
 	meta := artifact.Meta{Workload: "unicons", N: 3, V: 1, Quantum: 2, MaxSteps: 1 << 14}
 	seq := runModelFuzz(t, meta, nil, 0, 1)
 	par := runModelFuzz(t, meta, nil, 0, 4)
+	uni := runModelFuzz(t, meta, &sched.ModelSpec{Name: "uniform"}, 0, 1)
 	a, _ := json.Marshal(seq)
 	b, _ := json.Marshal(par)
+	u, _ := json.Marshal(uni)
 	if string(a) != string(b) {
-		t.Errorf("legacy-path measurement differs across parallelism\n seq: %s\n par: %s", a, b)
+		t.Errorf("nil-model measurement differs across parallelism\n seq: %s\n par: %s", a, b)
+	}
+	if string(a) != string(u) {
+		t.Errorf("nil model differs from uniform at seed 0\n nil:     %s\n uniform: %s", a, u)
 	}
 	if seq.Progress == nil || seq.Progress.Runs != 30 {
 		t.Errorf("expected 30 measured runs, got %+v", seq.Progress)

@@ -20,7 +20,7 @@ import (
 
 // chooser builds the scheduler a spec names, in the grammar every
 // other entry point speaks (sched.ParseModelSpec): rtc, rotate,
-// script, random:seed=<n>, stagger:period=<n>,phase=<n>, ...
+// script, uniform:seed=<n>, stagger:period=<n>,phase=<n>, ...
 func chooser(spec string) (sim.Chooser, error) {
 	ms, err := sched.ParseModelSpec(spec)
 	if err != nil {

@@ -14,7 +14,7 @@ func TestRunUniConsensus(t *testing.T) {
 		opts  core.UniConsensusOpts
 		trace string // the exact rendering and outcome; "" checks only for a process row
 	}{
-		{"random", core.UniConsensusOpts{N: 5, V: 2, Quantum: 8, Scheduler: "random:seed=3", Trace: true}, ""},
+		{"uniform", core.UniConsensusOpts{N: 5, V: 2, Quantum: 8, Scheduler: "uniform:seed=3", Trace: true}, ""},
 		// cmd/tracer's Fig. 1(a)/Fig. 2 and Fig. 1(b) interleavings.
 		{"fig1a", core.UniConsensusOpts{N: 3, V: 1, Quantum: 8, Scheduler: "rotate", Trace: true},
 			"    t=0..23\n" +
@@ -51,7 +51,8 @@ func TestRunUniConsensus(t *testing.T) {
 
 // TestRunUniConsensusBadScheduler runs every scheduler spelling that
 // cmd/hybridsim's usage documents and rejects malformed specs, among
-// them the retired "random:<seed>" and "stagger:<period>:<phase>" forms.
+// them the retired "<model>:<seed>" and "stagger:<period>:<phase>"
+// forms and the deleted "random" model.
 func TestRunUniConsensusBadScheduler(t *testing.T) {
 	for _, tc := range []struct {
 		spec string
@@ -60,13 +61,14 @@ func TestRunUniConsensusBadScheduler(t *testing.T) {
 		{"rtc", true},
 		{"rotate", true},
 		{"script", true},
-		{"random:seed=7", true},
+		{"uniform:seed=7", true},
 		{"stagger:period=8,phase=2", true},
 		{"nope", false},
 		{"", false},
-		{"random:7", false},
+		{"uniform:7", false},
+		{"random", false},
 		{"stagger:8:2", false},
-		{"random:seed=x", false},
+		{"uniform:seed=x", false},
 		{"rotate:period=8", false},
 	} {
 		_, err := core.RunUniConsensus(core.UniConsensusOpts{N: 2, Quantum: 8, Scheduler: tc.spec})
@@ -78,7 +80,7 @@ func TestRunUniConsensusBadScheduler(t *testing.T) {
 
 func TestRunMultiConsensusFig7(t *testing.T) {
 	res, err := core.RunMultiConsensus(core.MultiConsensusOpts{
-		P: 2, K: 1, M: 2, V: 2, Quantum: 2048, Scheduler: "random:seed=1",
+		P: 2, K: 1, M: 2, V: 2, Quantum: 2048, Scheduler: "uniform:seed=1",
 	})
 	if err != nil {
 		t.Fatalf("RunMultiConsensus: %v", err)
@@ -105,7 +107,7 @@ func TestRunMultiConsensusFig9(t *testing.T) {
 
 func TestRunCASWorkload(t *testing.T) {
 	res, err := core.RunCASWorkload(core.CASWorkloadOpts{
-		N: 4, V: 2, OpsPer: 3, Quantum: 32, Scheduler: "random:seed=5",
+		N: 4, V: 2, OpsPer: 3, Quantum: 32, Scheduler: "uniform:seed=5",
 	})
 	if err != nil {
 		t.Fatalf("RunCASWorkload: %v", err)

@@ -15,7 +15,7 @@ func Example() {
 	sys := sim.New(sim.Config{
 		Processors: 1,
 		Quantum:    hybridcas.RecommendedQuantum,
-		Chooser:    sched.NewRandom(1),
+		Chooser:    sched.NewUniform(1),
 	})
 	obj := hybridcas.New("counter", 3, 0)
 	for i := 0; i < 3; i++ {

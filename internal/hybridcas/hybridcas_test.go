@@ -223,7 +223,7 @@ func TestCASTrivialSemantics(t *testing.T) {
 // must not blow up.
 func TestStatementCostLinearInV(t *testing.T) {
 	cost := func(levels int) int64 {
-		sys := sim.New(sim.Config{Processors: 1, Quantum: hybridcas.RecommendedQuantum, Chooser: sched.NewRandom(42)})
+		sys := sim.New(sim.Config{Processors: 1, Quantum: hybridcas.RecommendedQuantum, Chooser: sched.NewUniform(42)})
 		obj := hybridcas.New("cas", levels, 0)
 		n := 4
 		var worst int64
@@ -267,7 +267,7 @@ func TestStatementCostLinearInV(t *testing.T) {
 // TestWalkStaysShort checks the head-hint staleness bound empirically:
 // the longest walk should stay within the in-flight operation bound.
 func TestWalkStaysShort(t *testing.T) {
-	sys := sim.New(sim.Config{Processors: 1, Quantum: hybridcas.RecommendedQuantum, Chooser: sched.NewRandom(9)})
+	sys := sim.New(sim.Config{Processors: 1, Quantum: hybridcas.RecommendedQuantum, Chooser: sched.NewUniform(9)})
 	const n = 6
 	obj := hybridcas.New("cas", 3, 0)
 	for i := 0; i < n; i++ {

@@ -86,7 +86,7 @@ func TestReclaimCorrectExhaustive(t *testing.T) {
 func TestReclaimBoundedMemory(t *testing.T) {
 	const n, opsPer, threshold = 4, 40, 2
 	sys := sim.New(sim.Config{Processors: 1, Quantum: hybridcas.RecommendedQuantum,
-		Chooser: sched.NewRandom(11), MaxSteps: 1 << 23})
+		Chooser: sched.NewUniform(11), MaxSteps: 1 << 23})
 	obj := hybridcas.NewReclaiming("cas", 1, n, 0, threshold)
 	for i := 0; i < n; i++ {
 		p := sys.AddProcess(sim.ProcSpec{Processor: 0, Priority: 1})
@@ -142,7 +142,7 @@ func TestReclaimRejectsUnknownProcess(t *testing.T) {
 		}()
 		hybridcas.NewReclaiming("bad", 1, 0, 0, 1)
 	}()
-	sys := sim.New(sim.Config{Processors: 1, Quantum: hybridcas.RecommendedQuantum, Chooser: sched.NewRandom(1)})
+	sys := sim.New(sim.Config{Processors: 1, Quantum: hybridcas.RecommendedQuantum, Chooser: sched.NewUniform(1)})
 	defer sys.Close()
 	obj := hybridcas.NewReclaiming("cas", 1, 1, 0, 1)
 	for i := 0; i < 2; i++ {

@@ -86,12 +86,13 @@ type shrinker struct {
 }
 
 // Shrink reduces a failing bundle to a minimal still-failing bundle.
-// Random-mode bundles are first normalized to script mode. The returned
-// bundle's Err and Trace come from a final fresh execution of the
-// minimized schedule. Shrink fails up front if the input bundle does not
-// (or no longer does) fail its property.
+// Seeded bundles (a model, or the Random shorthand) are first
+// normalized to script mode. The returned bundle's Err and Trace come
+// from a final fresh execution of the minimized schedule. Shrink fails
+// up front if the input bundle does not (or no longer does) fail its
+// property.
 func Shrink(b *artifact.Bundle, opts Options) (*artifact.Bundle, *Stats, error) {
-	if b.Sched.Random {
+	if !b.Sched.Scripted() {
 		nb, err := artifact.Normalize(b)
 		if err != nil {
 			return nil, nil, err

@@ -11,12 +11,21 @@ import (
 	"repro/internal/unicons"
 )
 
-// findFailure sweeps seeded-random schedules until one violates the
+// findFailure sweeps seeded uniform schedules until one violates the
 // workload's property.
 func findFailure(t *testing.T, meta artifact.Meta, maxSeed int64) *artifact.Bundle {
 	t.Helper()
+	return findSeeded(t, meta, maxSeed, func(seed int64) artifact.Sched {
+		return artifact.Sched{Random: true, Seed: seed}
+	})
+}
+
+// findSeeded sweeps the seeded schedules s derives until one violates
+// the workload's property.
+func findSeeded(t *testing.T, meta artifact.Meta, maxSeed int64, s func(seed int64) artifact.Sched) *artifact.Bundle {
+	t.Helper()
 	for seed := int64(1); seed <= maxSeed; seed++ {
-		b, rep, err := artifact.Capture(meta, artifact.Sched{Random: true, Seed: seed})
+		b, rep, err := artifact.Capture(meta, s(seed))
 		if err != nil {
 			t.Fatalf("Capture(seed=%d): %v", seed, err)
 		}
@@ -62,6 +71,47 @@ func TestShrinkLockCounter(t *testing.T) {
 	}
 	if rep.Trace == "" {
 		t.Fatal("minimized replay rendered no timeline")
+	}
+}
+
+// TestShrinkSeededModes: Shrink normalizes a model-mode bundle to
+// script mode before it shrinks, as it does a Random one
+// (TestShrinkLockCounter), instead of shrinking the empty script it
+// carries. The configuration is the lockcounter soak that `soak
+// -workload lockcounter -n 2 -q 2 -waitfree-bound 20 -sched-model
+// uniform` fails; the rows carry the seed in Sched.Seed and in the
+// spec.
+func TestShrinkSeededModes(t *testing.T) {
+	meta := artifact.Meta{Workload: "lockcounter", N: 2, V: 2, Quantum: 2, WaitFreeBound: 20}
+	for _, tc := range []struct {
+		name  string
+		sched func(seed int64) artifact.Sched
+	}{
+		{"model", func(seed int64) artifact.Sched {
+			return artifact.Sched{Model: &sched.ModelSpec{Name: "uniform"}, Seed: seed}
+		}},
+		{"model-seed", func(seed int64) artifact.Sched {
+			return artifact.Sched{Model: &sched.ModelSpec{Name: "markov", Seed: seed}}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b := findSeeded(t, meta, 200, tc.sched)
+			min, stats, err := minimize.Shrink(b, minimize.Options{})
+			if err != nil {
+				t.Fatalf("Shrink: %v", err)
+			}
+			t.Logf("shrink: %s", stats)
+			if stats.FromDecisions == 0 {
+				t.Fatalf("shrink started from an empty script: %s", stats)
+			}
+			rep, err := artifact.Replay(min, artifact.ReplayOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Err == nil || rep.Err.Error() != min.Err {
+				t.Fatalf("minimized bundle does not reproduce: recorded %q, replayed %v", min.Err, rep.Err)
+			}
+		})
 	}
 }
 

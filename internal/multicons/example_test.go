@@ -16,7 +16,7 @@ func Example() {
 	sys := sim.New(sim.Config{
 		Processors: 2,
 		Quantum:    2048,
-		Chooser:    sched.NewRandom(1),
+		Chooser:    sched.NewUniform(1),
 		MaxSteps:   1 << 22,
 	})
 	alg := multicons.New(multicons.Config{Name: "ex", P: 2, K: 1, M: 2, V: 1})

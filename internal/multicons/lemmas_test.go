@@ -46,7 +46,7 @@ func TestLemma3DecidingLevelExists(t *testing.T) {
 		{Name: "lm", P: 3, K: 1, M: 2, V: 2},
 	} {
 		for seed := int64(0); seed < 25; seed++ {
-			alg := runInstrumented(t, cfg, 4096, sched.NewRandom(seed))
+			alg := runInstrumented(t, cfg, 4096, sched.NewUniform(seed))
 			if dl := alg.DecidingLevel(); dl == 0 {
 				t.Fatalf("cfg=%+v seed=%d: no deciding-level witness; report=%+v",
 					cfg, seed, alg.Report())
@@ -71,7 +71,7 @@ func TestLemma3AccessFailureBudget(t *testing.T) {
 		budget := 0
 		for seed := int64(0); seed < 25; seed++ {
 			sys := sim.New(sim.Config{Processors: cfg.P, Quantum: 64,
-				Chooser: sched.NewRandom(seed), MaxSteps: 1 << 23})
+				Chooser: sched.NewUniform(seed), MaxSteps: 1 << 23})
 			alg := multicons.New(cfg)
 			id := 0
 			for i := 0; i < cfg.P; i++ {
@@ -102,7 +102,7 @@ func TestLemma3AccessFailureBudget(t *testing.T) {
 // within the paper's 2L+M overshoot bound.
 func TestLemmaPortClaimsBounded(t *testing.T) {
 	cfg := multicons.Config{Name: "lm", P: 2, K: 1, M: 3, V: 2}
-	alg := runInstrumented(t, cfg, 2048, sched.NewRandom(5))
+	alg := runInstrumented(t, cfg, 2048, sched.NewUniform(5))
 	total := 0
 	for _, r := range alg.Report() {
 		for i, n := range r.Claims {

@@ -15,7 +15,7 @@ func Example() {
 	sys := sim.New(sim.Config{
 		Processors: 1,
 		Quantum:    qlocal.RecommendedQuantum,
-		Chooser:    sched.NewRandom(2),
+		Chooser:    sched.NewUniform(2),
 	})
 	ctr := qlocal.New("tickets", 0)
 	tickets := make([]uint64, 3)

@@ -1,10 +1,6 @@
 package sched
 
-import (
-	"math/rand"
-
-	"repro/internal/sim"
-)
+import "repro/internal/sim"
 
 // CrashPoint plans one crash-stop fault: process Proc is halted at the
 // first scheduling step at or after global statement Step.
@@ -80,7 +76,7 @@ type RandomCrash struct {
 	// Injected counts crashes injected so far.
 	Injected int
 
-	rng *rand.Rand
+	rng *Rand
 }
 
 // DefaultCrashProb is the per-step crash probability used when
@@ -99,7 +95,7 @@ func NewRandomCrash(inner sim.Chooser, seed int64, maxCrashes int, prob float64)
 		Inner:      inner,
 		MaxCrashes: maxCrashes,
 		Prob:       prob,
-		rng:        rand.New(NewSource(seed)),
+		rng:        NewRand(seed),
 	}
 }
 
@@ -108,16 +104,6 @@ func (c *RandomCrash) Pick(d sim.Decision) int { return c.Inner.Pick(d) }
 
 // ReadsSince reports whether Inner reads Decision.Since.
 func (c *RandomCrash) ReadsSince() bool { return sim.ReadsSince(c.Inner) }
-
-// Reseed rewinds the injector to the start of the crash stream for
-// seed, so a pooled worker replays seed after seed. Reseed(inner, s) is
-// equivalent to replacing the injector with NewRandomCrash(inner, s,
-// MaxCrashes, Prob).
-func (c *RandomCrash) Reseed(inner sim.Chooser, seed int64) {
-	c.Inner = inner
-	c.Injected = 0
-	c.rng.Seed(seed)
-}
 
 // Crashes implements sim.Crasher.
 func (c *RandomCrash) Crashes(d sim.Decision) []*sim.Process {
@@ -134,5 +120,5 @@ func (c *RandomCrash) Crashes(d sim.Decision) []*sim.Process {
 		return nil
 	}
 	c.Injected++
-	return []*sim.Process{live[c.rng.Intn(len(live))]}
+	return []*sim.Process{live[c.rng.IntN(len(live))]}
 }

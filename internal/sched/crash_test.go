@@ -58,8 +58,8 @@ func TestCrashPlanIgnoresOutOfRangeProc(t *testing.T) {
 func TestCrashDelegatesSchedulingToInner(t *testing.T) {
 	// The same inner chooser wrapped by a no-op crash plan must yield the
 	// identical schedule.
-	plain := runOrder(t, sched.NewRandom(7), 4, 8)
-	wrapped := runOrder(t, sched.NewCrash(sched.NewRandom(7)), 4, 8)
+	plain := runOrder(t, sched.NewUniform(7), 4, 8)
+	wrapped := runOrder(t, sched.NewCrash(sched.NewUniform(7)), 4, 8)
 	if len(plain) != len(wrapped) {
 		t.Fatalf("schedule lengths differ: %d vs %d", len(plain), len(wrapped))
 	}
@@ -72,7 +72,7 @@ func TestCrashDelegatesSchedulingToInner(t *testing.T) {
 
 func TestRandomCrashReproducible(t *testing.T) {
 	run := func(seed int64) []bool {
-		ch := sched.NewRandomCrash(sched.NewRandom(seed), seed, 2, 0.1)
+		ch := sched.NewRandomCrash(sched.NewUniform(seed), seed, 2, 0.1)
 		crashed, _ := crashTrace(t, ch, 4, 10)
 		return crashed
 	}
@@ -85,7 +85,7 @@ func TestRandomCrashReproducible(t *testing.T) {
 }
 
 func TestRandomCrashZeroBudgetInjectsNothing(t *testing.T) {
-	ch := sched.NewRandomCrash(sched.NewRandom(3), 3, 0, 1.0)
+	ch := sched.NewRandomCrash(sched.NewUniform(3), 3, 0, 1.0)
 	_, n := crashTrace(t, ch, 4, 10)
 	if n != 0 || ch.Injected != 0 {
 		t.Fatalf("zero-budget injector crashed %d (Injected=%d)", n, ch.Injected)

@@ -151,18 +151,18 @@ func (s *ModelSpec) Clone() *ModelSpec {
 	return &c
 }
 
-// modelGolden is the Weyl increment run-seed derivation walks with (the
-// same constant the soak derivations use), and modelDepthSalt
-// decorrelates nested wrapper seeds so a randomcrash wrapper and its
-// stochastic inner model never share a stream.
+// modelGolden is the Weyl increment run-seed derivation walks with,
+// and modelDepthSalt decorrelates nested wrapper seeds so a randomcrash
+// wrapper and its stochastic inner model never share a stream.
 const (
 	modelGolden    = 0x9e3779b97f4a7c15
 	modelDepthSalt = 0x6a09e667f3bcc909
 )
 
 // RunSeed derives the seed for run idx of a sweep rooted at base: a
-// Weyl walk, matching the soak derivations, so consecutive runs get
-// decorrelated but deterministic streams.
+// Weyl walk, so consecutive runs get decorrelated but deterministic
+// streams. Fuzz sweeps and the soak derivations (artifact.SoakMeta,
+// artifact.SeededMeta) all name their runs through it.
 func RunSeed(base, idx int64) int64 {
 	return int64(uint64(base) + (uint64(idx)+1)*modelGolden)
 }
@@ -195,9 +195,9 @@ func newInner(spec *ModelSpec) (sim.Chooser, error) {
 
 // Reseedable is implemented by stochastic choosers that can rewind to
 // the start of the stream for a new seed in place, so a pooled worker
-// replays seed after seed without reallocating (Random, Uniform,
-// Markov, Noisy). Reseed(s) must be equivalent to rebuilding the
-// chooser with seed s.
+// replays seed after seed without reallocating (Uniform, Markov,
+// Noisy). Reseed(s) must be equivalent to rebuilding the chooser with
+// seed s.
 type Reseedable interface {
 	sim.Chooser
 	Reseed(seed int64)
@@ -294,14 +294,7 @@ func (s *ModelSpec) String() string {
 // stochastic family (uniform, markov, noisy — see stochastic.go).
 func init() {
 	RegisterModel(&Model{
-		Name: "random", Doc: "seeded uniform-random choice (math/rand; the historical fuzz chooser)",
-		Stochastic: true,
-		New: func(spec *ModelSpec) (sim.Chooser, error) {
-			return NewRandom(spec.Seed), nil
-		},
-	})
-	RegisterModel(&Model{
-		Name: "uniform", Doc: "seeded uniform-random choice (math/rand/v2 PCG; the stochastic family's baseline)",
+		Name: "uniform", Doc: "seeded uniform-random choice (the default schedule source of fuzz and soak runs)",
 		Stochastic: true,
 		New: func(spec *ModelSpec) (sim.Chooser, error) {
 			return NewUniform(spec.Seed), nil

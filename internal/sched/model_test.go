@@ -3,6 +3,7 @@ package sched_test
 import (
 	"encoding/json"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/artifact"
@@ -22,7 +23,6 @@ var modelMatrix = []struct {
 	spec string // ParseModelSpec input (compact or JSON form)
 	wire func() sim.Chooser
 }{
-	{"random", "random:seed=7", func() sim.Chooser { return sched.NewRandom(7) }},
 	{"uniform", "uniform:seed=7", func() sim.Chooser { return sched.NewUniform(7) }},
 	{"markov", "markov:pribias=2,stay=0.6,seed=3", func() sim.Chooser { return sched.NewMarkov(3, 0.6, 2) }},
 	{"noisy", "noisy:eps=0.2,seed=5", func() sim.Chooser { return sched.NewNoisy(5, 0.2) }},
@@ -37,14 +37,14 @@ var modelMatrix = []struct {
 		}},
 	{"reduced", `{"name":"reduced","decisions":[1,0,1]}`,
 		func() sim.Chooser { return &sched.Reduced{Prefix: []int{1, 0, 1}, SleepSets: true, Budget: 1 << 30} }},
-	{"crash", `{"name":"crash","plan":[{"Proc":1,"Step":5}],"inner":{"name":"random","seed":7}}`,
-		func() sim.Chooser { return sched.NewCrash(sched.NewRandom(7), sched.CrashPoint{Proc: 1, Step: 5}) }},
-	{"randomcrash", `{"name":"randomcrash","seed":11,"params":{"max":1,"prob":0.05},"inner":{"name":"random","seed":7}}`,
-		func() sim.Chooser { return sched.NewRandomCrash(sched.NewRandom(7), 11, 1, 0.05) }},
-	{"watchdog", `{"name":"watchdog","params":{"checkevery":16},"inner":{"name":"random","seed":7}}`,
-		func() sim.Chooser { return &sched.Watchdog{Inner: sched.NewRandom(7), CheckEvery: 16} }},
-	{"record", `{"name":"record","inner":{"name":"random","seed":7}}`,
-		func() sim.Chooser { return sched.NewRecord(sched.NewRandom(7)) }},
+	{"crash", `{"name":"crash","plan":[{"Proc":1,"Step":5}],"inner":{"name":"uniform","seed":7}}`,
+		func() sim.Chooser { return sched.NewCrash(sched.NewUniform(7), sched.CrashPoint{Proc: 1, Step: 5}) }},
+	{"randomcrash", `{"name":"randomcrash","seed":11,"params":{"max":1,"prob":0.05},"inner":{"name":"uniform","seed":7}}`,
+		func() sim.Chooser { return sched.NewRandomCrash(sched.NewUniform(7), 11, 1, 0.05) }},
+	{"watchdog", `{"name":"watchdog","params":{"checkevery":16},"inner":{"name":"uniform","seed":7}}`,
+		func() sim.Chooser { return &sched.Watchdog{Inner: sched.NewUniform(7), CheckEvery: 16} }},
+	{"record", `{"name":"record","inner":{"name":"uniform","seed":7}}`,
+		func() sim.Chooser { return sched.NewRecord(sched.NewUniform(7)) }},
 }
 
 // modelWorkloads are the pinned workloads every matrix row runs under:
@@ -156,9 +156,9 @@ func TestSpecStringRoundTrip(t *testing.T) {
 	}
 	// A seed past float64's 53 bits survives the compact form exactly.
 	const big = 1<<53 + 1
-	spec, err := sched.ParseModelSpec((&sched.ModelSpec{Name: "random", Seed: big}).String())
+	spec, err := sched.ParseModelSpec((&sched.ModelSpec{Name: "uniform", Seed: big}).String())
 	if err != nil || spec.Seed != big {
-		t.Errorf("random seed %d round-tripped to %v (err %v)", int64(big), spec, err)
+		t.Errorf("uniform seed %d round-tripped to %v (err %v)", int64(big), spec, err)
 	}
 }
 
@@ -167,7 +167,7 @@ func TestSpecStringRoundTrip(t *testing.T) {
 // with seed s.
 func TestReseedEquivalence(t *testing.T) {
 	meta := modelWorkloads[0]
-	for _, name := range []string{"random", "uniform", "markov", "noisy"} {
+	for _, name := range []string{"uniform", "markov", "noisy"} {
 		spec, err := sched.ParseModelSpec(name + ":seed=99")
 		if err != nil {
 			t.Fatal(err)
@@ -273,6 +273,12 @@ func TestSpecValidation(t *testing.T) {
 	for _, s := range []string{"uniform", "markov:stay=0.9", "noisy:eps=0.05,seed=12"} {
 		if _, err := sched.ParseModelSpec(s); err != nil {
 			t.Errorf("ParseModelSpec(%q): %v", s, err)
+		}
+	}
+	// "random" names no model; the seeded uniform chooser is "uniform".
+	for _, s := range []string{"random", `{"name":"random","seed":7}`} {
+		if _, err := sched.ParseModelSpec(s); err == nil || !strings.Contains(err.Error(), "unknown scheduler model") {
+			t.Errorf("ParseModelSpec(%q) = %v, want an unknown-model error", s, err)
 		}
 	}
 }

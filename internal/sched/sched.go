@@ -6,48 +6,12 @@
 // preemptions actually occur.
 //
 // The package includes benign strategies (run-to-completion, seeded
-// random, rotating round-robin) and hostile ones (maximal legal
+// uniform random, rotating round-robin) and hostile ones (maximal legal
 // preemption, the quantum-stagger adversary from the paper's Theorem 3
 // lower-bound proof).
 package sched
 
-import (
-	"math/rand"
-
-	"repro/internal/sim"
-)
-
-// Random picks uniformly among candidates using a seeded PRNG, giving
-// reproducible pseudo-random schedules. Random schedules exercise
-// preemptions heavily because every legal preemption point is taken with
-// positive probability. Its stream is math/rand's for the seed, drawn
-// through Source, which builds the generator's state on demand instead
-// of at every seed; saved bundles and soak campaigns name their runs
-// by these seeds, so the stream must never change.
-type Random struct {
-	rng *rand.Rand
-}
-
-// NewRandom returns a Random chooser with the given seed.
-func NewRandom(seed int64) *Random {
-	return &Random{rng: rand.New(NewSource(seed))}
-}
-
-// Pick implements sim.Chooser.
-func (r *Random) Pick(d sim.Decision) int {
-	return r.rng.Intn(len(d.Candidates))
-}
-
-// ReadsSince reports that Random does not read Decision.Since.
-func (*Random) ReadsSince() bool { return false }
-
-// Reseed rewinds the PRNG to the start of the stream for seed, so a
-// pooled worker replays seed after seed without reallocating the
-// chooser. Reseed(s) is equivalent to replacing the chooser with
-// NewRandom(s).
-func (r *Random) Reseed(seed int64) {
-	r.rng.Seed(seed)
-}
+import "repro/internal/sim"
 
 // RunToCompletion prefers the process that most recently ran, so each
 // invocation completes without same-priority preemption when possible.

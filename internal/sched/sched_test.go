@@ -68,14 +68,14 @@ func TestFirstChooserDeterministic(t *testing.T) {
 }
 
 func TestRandomReproducible(t *testing.T) {
-	a := runOrder(t, sched.NewRandom(99), 4, 8)
-	b := runOrder(t, sched.NewRandom(99), 4, 8)
+	a := runOrder(t, sched.NewUniform(99), 4, 8)
+	b := runOrder(t, sched.NewUniform(99), 4, 8)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("same seed produced different schedules")
 		}
 	}
-	c := runOrder(t, sched.NewRandom(100), 4, 8)
+	c := runOrder(t, sched.NewUniform(100), 4, 8)
 	same := true
 	for i := range a {
 		if i >= len(c) || a[i] != c[i] {

@@ -6,13 +6,13 @@ import (
 	"repro/internal/sim"
 )
 
-// This file holds the stochastic scheduler family behind the
-// "practically wait-free" measurement layer: uniform random over a
-// modern generator (Uniform), Markov processor/priority walks (Markov),
-// and Aspnes-style noisy scheduling (Noisy). All three draw only from a
-// private seeded PCG — decision streams are pure functions of the seed,
-// so every schedule they produce replays exactly from (spec, seed) or
-// from a recorded decision trace.
+// This file holds the program's one seeded generator (Rand) and the
+// stochastic scheduler family behind the "practically wait-free"
+// measurement layer: uniform random (Uniform), Markov processor/priority
+// walks (Markov), and Aspnes-style noisy scheduling (Noisy). All three
+// draw only from a private Rand, so decision streams are pure functions
+// of the seed, and every schedule they produce replays exactly from
+// (spec, seed) or from a recorded decision trace.
 
 // splitmix64 is the standard seed expander: it turns one 64-bit seed
 // into decorrelated stream words for PCG initialization.
@@ -23,27 +23,42 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// newPCG returns a seeded PCG source and its two init words derived
-// from seed via splitmix64.
-func newPCG(seed int64) *rand.PCG {
-	return rand.NewPCG(splitmix64(uint64(seed)), splitmix64(uint64(seed)+1))
+// Rand is the generator every seeded schedule, crash plan and soak
+// derivation draws from: a math/rand/v2 PCG whose two init words are
+// splitmix64 of the seed and of the seed plus one. Seeding is those two
+// splitmix64 steps, and Reseed rewinds the generator in place, so a
+// pooled worker replays seed after seed without allocating.
+type Rand struct {
+	*rand.Rand
+	pcg rand.PCG
 }
 
-// Uniform picks uniformly among candidates from a seeded math/rand/v2
-// PCG stream. It is the stochastic family's baseline — the scheduler
-// the Alistarh–Censor-Hillel–Shavit argument calls "uniform stochastic"
-// — and differs from Random only in generator (Random keeps the
-// historical math/rand stream for replay compatibility with existing
-// artifacts).
+// NewRand returns a Rand at the start of the stream for seed.
+func NewRand(seed int64) *Rand {
+	r := &Rand{}
+	r.Reseed(seed)
+	r.Rand = rand.New(&r.pcg)
+	return r
+}
+
+// Reseed rewinds r to the start of the stream for seed; equivalent to
+// replacing it with NewRand(seed).
+func (r *Rand) Reseed(seed int64) {
+	r.pcg.Seed(splitmix64(uint64(seed)), splitmix64(uint64(seed)+1))
+}
+
+// Uniform picks uniformly among candidates from a seeded Rand. It is
+// the stochastic family's baseline, the scheduler the
+// Alistarh–Censor-Hillel–Shavit argument calls "uniform stochastic",
+// and the schedule source of Fuzz and soak runs unless a model is
+// named.
 type Uniform struct {
-	src *rand.PCG
-	rng *rand.Rand
+	rng *Rand
 }
 
 // NewUniform returns a Uniform chooser with the given seed.
 func NewUniform(seed int64) *Uniform {
-	src := newPCG(seed)
-	return &Uniform{src: src, rng: rand.New(src)}
+	return &Uniform{rng: NewRand(seed)}
 }
 
 // Pick implements sim.Chooser.
@@ -57,7 +72,7 @@ func (*Uniform) ReadsSince() bool { return false }
 // Reseed rewinds the stream to the start for seed; equivalent to
 // replacing the chooser with NewUniform(seed).
 func (u *Uniform) Reseed(seed int64) {
-	u.src.Seed(splitmix64(uint64(seed)), splitmix64(uint64(seed)+1))
+	u.rng.Reseed(seed)
 }
 
 // Markov is a Markov-chain processor/priority walk: with probability
@@ -75,16 +90,14 @@ type Markov struct {
 	// PriBias is the per-priority-level weight base for hops.
 	PriBias float64
 
-	src    *rand.PCG
-	rng    *rand.Rand
+	rng    *Rand
 	lastID int
 }
 
 // NewMarkov returns a Markov walk chooser with the given seed, stay
 // probability, and priority bias.
 func NewMarkov(seed int64, stay, priBias float64) *Markov {
-	src := newPCG(seed)
-	return &Markov{Stay: stay, PriBias: priBias, src: src, rng: rand.New(src), lastID: -1}
+	return &Markov{Stay: stay, PriBias: priBias, rng: NewRand(seed), lastID: -1}
 }
 
 // Pick implements sim.Chooser.
@@ -172,7 +185,7 @@ func (m *Markov) weight(p *sim.Process) float64 {
 // Reseed rewinds the stream and the walk state for seed; equivalent to
 // replacing the chooser with NewMarkov(seed, m.Stay, m.PriBias).
 func (m *Markov) Reseed(seed int64) {
-	m.src.Seed(splitmix64(uint64(seed)), splitmix64(uint64(seed)+1))
+	m.rng.Reseed(seed)
 	m.lastID = -1
 }
 
@@ -188,16 +201,14 @@ type Noisy struct {
 	// Eps is the per-decision perturbation probability.
 	Eps float64
 
-	src    *rand.PCG
-	rng    *rand.Rand
+	rng    *Rand
 	lastID int
 }
 
 // NewNoisy returns a noisy-scheduling chooser with the given seed and
 // perturbation probability.
 func NewNoisy(seed int64, eps float64) *Noisy {
-	src := newPCG(seed)
-	return &Noisy{Eps: eps, src: src, rng: rand.New(src), lastID: -1}
+	return &Noisy{Eps: eps, rng: NewRand(seed), lastID: -1}
 }
 
 // Pick implements sim.Chooser.
@@ -239,6 +250,6 @@ func rotatePick(cands []*sim.Process, lastID int) int {
 // Reseed rewinds the stream and the core's walk state for seed;
 // equivalent to replacing the chooser with NewNoisy(seed, n.Eps).
 func (n *Noisy) Reseed(seed int64) {
-	n.src.Seed(splitmix64(uint64(seed)), splitmix64(uint64(seed)+1))
+	n.rng.Reseed(seed)
 	n.lastID = -1
 }

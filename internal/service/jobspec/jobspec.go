@@ -181,9 +181,9 @@ type Check struct {
 	// MemSoftMB is the soft heap ceiling in MiB
 	// (check.Options.MemSoftLimit; 0 = off).
 	MemSoftMB int64 `json:"mem_soft_mb,omitempty"`
-	// Model, mode "fuzz" only, swaps the schedule source for a
-	// registered scheduler model (sched.ParseModelSpec grammar, compact
-	// or JSON form; "" = the historical seeded random).
+	// Model, mode "fuzz" only, names the registered scheduler model
+	// schedules are drawn from (sched.ParseModelSpec grammar, compact
+	// or JSON form; "" = uniform).
 	Model string `json:"sched_model,omitempty"`
 }
 
@@ -325,9 +325,9 @@ type Soak struct {
 	// KeepGoing records violations and continues instead of stopping
 	// the campaign at the first one.
 	KeepGoing bool `json:"keep_going,omitempty"`
-	// Model swaps the campaign's schedule source for a registered
-	// scheduler model (sched.ParseModelSpec grammar; "" = the default
-	// seeded random). Simple (non-wrapper) specs only: campaign crash
+	// Model names the registered scheduler model the campaign's
+	// schedules are drawn from (sched.ParseModelSpec grammar;
+	// "" = uniform). Simple (non-wrapper) specs only: campaign crash
 	// injection comes from CrashSeed/MaxCrashes, and a wrapper spec's
 	// inner seeds would not vary per run. Part of the campaign
 	// identity.

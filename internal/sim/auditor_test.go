@@ -19,7 +19,7 @@ func TestAuditorCleanOnKernelSchedules(t *testing.T) {
 			aud := sim.NewAuditor(quantum)
 			sys := sim.New(sim.Config{
 				Processors: 2, Quantum: quantum,
-				Chooser: sched.NewRandom(seed), Observer: aud, MaxSteps: 1 << 18,
+				Chooser: sched.NewUniform(seed), Observer: aud, MaxSteps: 1 << 18,
 			})
 			obj := unicons.New("cons")
 			for i := 0; i < 6; i++ {

@@ -230,7 +230,7 @@ func TestChooserOutOfRange(t *testing.T) {
 // finishes (Axiom 1), regardless of the chooser.
 func TestHigherPriorityAlwaysFirstWhenReady(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
-		sys := sim.New(sim.Config{Processors: 1, Quantum: 4, Chooser: sched.NewRandom(seed)})
+		sys := sim.New(sim.Config{Processors: 1, Quantum: 4, Chooser: sched.NewUniform(seed)})
 		r := mem.NewReg("r")
 		var order []int
 		for i, pri := range []int{1, 3, 2} {

@@ -171,7 +171,7 @@ func TestCrashThinkingProcessNeverArrives(t *testing.T) {
 func TestRandomCrashBudgetRespected(t *testing.T) {
 	for seed := int64(0); seed < 30; seed++ {
 		for _, budget := range []int{0, 1, 3} {
-			ch := sched.NewRandomCrash(sched.NewRandom(seed), seed, budget, 0.05)
+			ch := sched.NewRandomCrash(sched.NewUniform(seed), seed, budget, 0.05)
 			aud := sim.NewAuditor(4)
 			sys := sim.New(sim.Config{Processors: 2, Quantum: 4, Chooser: ch, Observer: aud, MaxSteps: 1 << 14})
 			for i := 0; i < 4; i++ {

@@ -96,23 +96,23 @@ func TestCoroutineSwitchesFollowHandoffs(t *testing.T) {
 		crashing bool
 	}{
 		{"lockcounter", artifact.Meta{Workload: "lockcounter", N: 2, V: 2, Quantum: 2, MaxSteps: 2000},
-			func() sim.Chooser { return sched.NewRandom(3) }, true, false},
+			func() sim.Chooser { return sched.NewUniform(3) }, true, false},
 		{"unicons", artifact.Meta{Workload: "unicons", N: 3, V: 1, Quantum: 8},
-			func() sim.Chooser { return sched.NewRandom(1) }, false, false},
+			func() sim.Chooser { return sched.NewUniform(1) }, false, false},
 		{"lockcounter/random-crash", artifact.Meta{Workload: "lockcounter", N: 3, V: 2, Quantum: 2, MaxSteps: 2000},
-			func() sim.Chooser { return sched.NewRandomCrash(sched.NewRandom(1), 5, 1, 0.05) }, true, true},
+			func() sim.Chooser { return sched.NewRandomCrash(sched.NewUniform(1), 5, 1, 0.05) }, true, true},
 		{"unicons/random-crash", artifact.Meta{Workload: "unicons", N: 4, V: 1, Quantum: 8},
-			func() sim.Chooser { return sched.NewRandomCrash(sched.NewRandom(2), 3, 2, 0.1) }, false, true},
+			func() sim.Chooser { return sched.NewRandomCrash(sched.NewUniform(2), 3, 2, 0.1) }, false, true},
 		{"soakmix/random-crash", soak,
 			func() sim.Chooser {
-				return sched.NewRandomCrash(sched.NewRandom(soakSched.Seed), soakSched.CrashSeed, soakSched.MaxCrashes, 0.05)
+				return sched.NewRandomCrash(sched.NewUniform(soakSched.Seed), soakSched.CrashSeed, soakSched.MaxCrashes, 0.05)
 			}, false, true},
 		{"unicons/planned-crash", artifact.Meta{Workload: "unicons", N: 4, V: 2, Quantum: 2},
 			func() sim.Chooser {
-				return sched.NewCrash(sched.NewRandom(3), sched.CrashPoint{Proc: 1, Step: 5}, sched.CrashPoint{Proc: 2, Step: 5})
+				return sched.NewCrash(sched.NewUniform(3), sched.CrashPoint{Proc: 1, Step: 5}, sched.CrashPoint{Proc: 2, Step: 5})
 			}, false, true},
 		{"multicons/planned-crash", artifact.Meta{Workload: "multicons", P: 2, M: 2, V: 2, Quantum: 4, MaxSteps: 1 << 14},
-			func() sim.Chooser { return sched.NewCrash(sched.NewRandom(4), sched.CrashPoint{Proc: 0, Step: 7}) }, false, true},
+			func() sim.Chooser { return sched.NewCrash(sched.NewUniform(4), sched.CrashPoint{Proc: 0, Step: 7}) }, false, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -164,7 +164,7 @@ func relaySystem(cfg sim.Config, n, v, invs int) *sim.System {
 // chooser.
 type rowCrasher struct {
 	seed    int64
-	inner   *sched.Random
+	inner   *sched.Uniform
 	log     *switchLog
 	from    int64
 	pick    func(d sim.Decision, decider *sim.Process) []*sim.Process
@@ -173,7 +173,7 @@ type rowCrasher struct {
 }
 
 func (c *rowCrasher) rearm() {
-	c.inner = sched.NewRandom(c.seed)
+	c.inner = sched.NewUniform(c.seed)
 	c.firedAt, c.fired = -1, nil
 }
 

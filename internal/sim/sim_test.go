@@ -185,7 +185,7 @@ func sharedRegisterSystem(ch sim.Chooser) (sys *sim.System, done []bool) {
 // TestMultiprocessorIsolation checks that processes on different
 // processors interleave freely (no cross-processor preemption rules).
 func TestMultiprocessorIsolation(t *testing.T) {
-	sys, done := sharedRegisterSystem(sched.NewRandom(1))
+	sys, done := sharedRegisterSystem(sched.NewUniform(1))
 	if err := sys.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -197,7 +197,7 @@ func TestMultiprocessorIsolation(t *testing.T) {
 // TestThinkingArrival checks the invocation lifecycle: a process's
 // second invocation begins only after its first completed.
 func TestThinkingArrival(t *testing.T) {
-	sys := sim.New(sim.Config{Processors: 1, Quantum: 2, Chooser: sched.NewRandom(7)})
+	sys := sim.New(sim.Config{Processors: 1, Quantum: 2, Chooser: sched.NewUniform(7)})
 	count := 0
 	p := sys.AddProcess(sim.ProcSpec{Processor: 0, Priority: 1})
 	for i := 0; i < 3; i++ {

@@ -107,7 +107,7 @@ func TestLeftoverTempIgnored(t *testing.T) {
 	if err := os.MkdirAll(stateDir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	cp := &campaign.Checkpoint{Version: 1, Identity: campaign.Identity{BaseSeed: 3}, State: campaign.State{NextIdx: 4, Runs: 4}}
+	cp := &campaign.Checkpoint{Version: 2, Identity: campaign.Identity{BaseSeed: 3}, State: campaign.State{NextIdx: 4, Runs: 4}}
 	if err := campaign.WriteCheckpoint(stateDir, cp); err != nil {
 		t.Fatal(err)
 	}

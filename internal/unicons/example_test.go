@@ -15,7 +15,7 @@ func Example() {
 	sys := sim.New(sim.Config{
 		Processors: 1,
 		Quantum:    unicons.MinQuantum,
-		Chooser:    sched.NewRandom(3),
+		Chooser:    sched.NewUniform(3),
 	})
 	obj := unicons.New("cons")
 	outs := make([]uint64, 5)

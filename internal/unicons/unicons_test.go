@@ -225,7 +225,7 @@ func TestDecideProposalBottomPanics(t *testing.T) {
 // processes or priority levels.
 func TestConstantTimeAcrossN(t *testing.T) {
 	for _, n := range []int{1, 4, 16, 64} {
-		sys := sim.New(sim.Config{Processors: 1, Quantum: unicons.MinQuantum, Chooser: sched.NewRandom(3)})
+		sys := sim.New(sim.Config{Processors: 1, Quantum: unicons.MinQuantum, Chooser: sched.NewUniform(3)})
 		obj := unicons.New("cons")
 		for i := 0; i < n; i++ {
 			sys.AddProcess(sim.ProcSpec{Processor: 0, Priority: 1 + i%4}).

@@ -24,7 +24,7 @@ func Example() {
 	sys := sim.New(sim.Config{
 		Processors: 1,
 		Quantum:    32,
-		Chooser:    sched.NewRandom(1),
+		Chooser:    sched.NewUniform(1),
 	})
 	o := universal.New("max", mem.Word(0), maxApply)
 	for _, v := range []mem.Word{7, 3, 9, 5} {

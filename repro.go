@@ -110,8 +110,9 @@ func NewConsObject(name string, c int) *ConsObject { return mem.NewConsObject(na
 
 // Schedulers.
 
-// NewRandomScheduler returns a seeded pseudo-random scheduler.
-func NewRandomScheduler(seed int64) Scheduler { return sched.NewRandom(seed) }
+// NewRandomScheduler returns a seeded uniform-random scheduler (the
+// checker's "uniform" model).
+func NewRandomScheduler(seed int64) Scheduler { return sched.NewUniform(seed) }
 
 // NewRotateScheduler returns the maximally-preempting round-robin
 // scheduler (every quantum is exactly Q statements).
