@@ -191,17 +191,23 @@ func (c *collector) count() {
 }
 
 // violation merges one violation into the canonically ordered, capped
-// list and triggers StopAtFirst cancellation. decisions, if non-nil, is
-// the run's canonical decision vector (ownership passes to the
-// collector).
-func (c *collector) violation(key schedKey, schedule string, err error, decisions []int) {
+// list and triggers StopAtFirst cancellation. schedule names the run,
+// and decisions, if non-nil, returns its canonical decision vector
+// (ownership passes to the collector); both are called only for a
+// violation the list takes in, so the runs the cap drops are never
+// formatted.
+func (c *collector) violation(key schedKey, err error, schedule func() string, decisions func() []int) {
 	c.violTotal.Add(1)
 	c.mu.Lock()
 	i := sort.Search(len(c.viols), func(i int) bool { return keyLess(key, c.viols[i].key) })
 	if i < c.maxViol {
+		v := Violation{Schedule: schedule(), Err: err}
+		if decisions != nil {
+			v.Decisions = decisions()
+		}
 		c.viols = append(c.viols, keyedViolation{})
 		copy(c.viols[i+1:], c.viols[i:])
-		c.viols[i] = keyedViolation{key: key, v: Violation{Schedule: schedule, Err: err, Decisions: decisions}}
+		c.viols[i] = keyedViolation{key: key, v: v}
 		if len(c.viols) > c.maxViol {
 			c.viols = c.viols[:c.maxViol]
 		}
@@ -568,11 +574,11 @@ func (d *driver[T]) run(item *T, push func(*T)) {
 		return
 	}
 	if verr != nil {
-		var dec []int
+		var dec func() []int
 		if !panicked {
-			dec = s.decisions(item)
+			dec = func() []int { return s.decisions(item) }
 		}
-		c.violation(s.key(item), describe(), verr, dec)
+		c.violation(s.key(item), verr, describe, dec)
 	}
 	if tally := s.pruned(); tally != nil && !panicked {
 		// A pruned run is a covered partial replay, not a schedule: it

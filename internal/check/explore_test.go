@@ -171,6 +171,48 @@ func TestMaxViolationsCap(t *testing.T) {
 	}
 }
 
+// TestViolationCapKeepsFirst: at one worker, an exploration capped at
+// MaxViolations: 2 keeps exactly the first two violations, by schedule
+// key, of the uncapped exploration, with the same schedule text, error
+// and decision vector, and still counts every violation.
+func TestViolationCapKeepsFirst(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		run  func(o check.Options) *check.Result
+	}{
+		{"ExploreAll", func(o check.Options) *check.Result { return check.ExploreAll(fig3Builder(2, 0), o) }},
+		{"ExploreAll/full", func(o check.Options) *check.Result {
+			o.Reduction = check.ReductionFull
+			return check.ExploreAll(fig3Builder(2, 2), o)
+		}},
+		{"ExploreBudget", func(o check.Options) *check.Result { return check.ExploreBudget(fig3Builder(3, 2), 4, o) }},
+		{"ExploreBudget/full", func(o check.Options) *check.Result {
+			o.Reduction = check.ReductionFull
+			return check.ExploreBudget(fig3Builder(3, 2), 4, o)
+		}},
+		{"Fuzz", func(o check.Options) *check.Result { return check.Fuzz(fig3Builder(3, 2), 300, o) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			all := tc.run(check.Options{Parallelism: 1, MaxViolations: 1 << 20})
+			capped := tc.run(check.Options{Parallelism: 1, MaxViolations: 2})
+			if all.ViolationsTotal < 3 || len(all.Violations) != all.ViolationsTotal {
+				t.Fatalf("uncapped run kept %d of %d violations, want all of at least 3", len(all.Violations), all.ViolationsTotal)
+			}
+			if capped.ViolationsTotal != all.ViolationsTotal || len(capped.Violations) != 2 {
+				t.Fatalf("capped run kept %d of %d violations, want 2 of %d", len(capped.Violations), capped.ViolationsTotal, all.ViolationsTotal)
+			}
+			for i, got := range capped.Violations {
+				want := all.Violations[i]
+				if got.Schedule != want.Schedule || got.Err.Error() != want.Err.Error() ||
+					(got.Decisions == nil) != (want.Decisions == nil) || fmt.Sprint(got.Decisions) != fmt.Sprint(want.Decisions) {
+					t.Errorf("violation %d: capped %s %v %v, uncapped %s %v %v",
+						i, got.Schedule, got.Err, got.Decisions, want.Schedule, want.Err, want.Decisions)
+				}
+			}
+		})
+	}
+}
+
 // TestMaxSchedulesTruncates caps the exploration.
 func TestMaxSchedulesTruncates(t *testing.T) {
 	res := check.ExploreAll(twoProcBuilder(6, 1), check.Options{MaxSchedules: 10})

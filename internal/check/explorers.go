@@ -3,6 +3,7 @@ package check
 import (
 	"fmt"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -125,19 +126,13 @@ func (s *prefixStrategy) children(it *prefixItem, push func(*prefixItem)) {
 	}
 }
 
-// switchPoint is one directed deviation of an ExploreBudget schedule.
-type switchPoint struct {
-	d      int64
-	choice int
-}
-
 // budgetItem identifies one ExploreBudget subtree: the deviations
 // applied so far (sorted by decision index), the remaining deviation
 // budget, and the first decision index at which further deviations may
 // be placed (keeping every ≤budget-deviation schedule covered exactly
 // once).
 type budgetItem struct {
-	switches []switchPoint
+	switches []sched.Switch
 	budget   int
 	minIndex int64
 }
@@ -177,10 +172,7 @@ type budgetStrategy struct {
 }
 
 func (s *budgetStrategy) reset(it *budgetItem) sim.Chooser {
-	s.ch.Reset(it.budget)
-	for _, sw := range it.switches {
-		s.ch.SwitchAt[sw.d] = sw.choice
-	}
+	s.ch.Reset(it.switches, it.budget)
 	return &s.ch
 }
 
@@ -188,7 +180,7 @@ func (s *budgetStrategy) reset(it *budgetItem) sim.Chooser {
 // schedule with another switch word. A pruned run never looks aliased:
 // pruning fires only past the last directed switch.
 func (s *budgetStrategy) aliased(it *budgetItem) bool {
-	return s.ch.Clamped || (len(it.switches) > 0 && it.switches[len(it.switches)-1].d >= s.ch.Decision)
+	return s.ch.Clamped || (len(it.switches) > 0 && it.switches[len(it.switches)-1].At >= s.ch.Decision)
 }
 
 func (s *budgetStrategy) pruned() *atomic.Int64 {
@@ -201,13 +193,24 @@ func (s *budgetStrategy) pruned() *atomic.Int64 {
 func (s *budgetStrategy) key(it *budgetItem) schedKey {
 	key := make(schedKey, 0, 2*len(it.switches))
 	for _, sw := range it.switches {
-		key = append(key, sw.d, int64(sw.choice))
+		key = append(key, sw.At, int64(sw.Choice))
 	}
 	return key
 }
 
-func (s *budgetStrategy) describe(*budgetItem) string {
-	return fmt.Sprintf("switches=%v", s.ch.SwitchAt)
+// describe names the run by its switch word, in the form fmt prints a
+// map from decision index to choice: switches=map[3:1 9:0].
+func (s *budgetStrategy) describe(it *budgetItem) string {
+	var b strings.Builder
+	b.WriteString("switches=map[")
+	for i, sw := range it.switches {
+		if i > 0 {
+			b.WriteByte(' ')
+		}
+		fmt.Fprintf(&b, "%d:%d", sw.At, sw.Choice)
+	}
+	b.WriteByte(']')
+	return b.String()
 }
 
 func (s *budgetStrategy) decisions(*budgetItem) []int { return canonDecisions(s.ch.Taken) }
@@ -226,7 +229,7 @@ func (s *budgetStrategy) children(it *budgetItem, push func(*budgetItem)) {
 				continue
 			}
 			push(&budgetItem{
-				switches: append(it.switches[:len(it.switches):len(it.switches)], switchPoint{d: d, choice: choice}),
+				switches: append(it.switches[:len(it.switches):len(it.switches)], sched.Switch{At: d, Choice: choice}),
 				budget:   it.budget - 1,
 				minIndex: d + 1,
 			})
@@ -237,7 +240,7 @@ func (s *budgetStrategy) children(it *budgetItem, push func(*budgetItem)) {
 func (s *budgetStrategy) frontier(it *budgetItem) FrontierItem {
 	fi := FrontierItem{Budget: it.budget, MinIndex: it.minIndex}
 	for _, sw := range it.switches {
-		fi.Switches = append(fi.Switches, SwitchRec{Decision: sw.d, Choice: sw.choice})
+		fi.Switches = append(fi.Switches, SwitchRec{Decision: sw.At, Choice: sw.Choice})
 	}
 	return fi
 }

@@ -127,7 +127,7 @@ func seedItemsBudget(f *Frontier, budget int) []*budgetItem {
 	for i, fi := range f.Items {
 		it := &budgetItem{budget: fi.Budget, minIndex: fi.MinIndex}
 		for _, sw := range fi.Switches {
-			it.switches = append(it.switches, switchPoint{d: sw.Decision, choice: sw.Choice})
+			it.switches = append(it.switches, sched.Switch{At: sw.Decision, Choice: sw.Choice})
 		}
 		items[i] = it
 	}

@@ -1,6 +1,7 @@
 package check
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/bits"
@@ -120,20 +121,23 @@ type ReductionStats struct {
 // subtrees, which may deviate at every remaining decision.
 const unboundedBudget = math.MaxInt
 
-// fpEntry is one visited-state record: the canonical identity of the
-// visit (its taken-decision vector), the sleep set it ran under, the
-// deviation budget it had, and the worker whose run made the visit. The
-// visitor was not pruned here, so its run continued past the state. A
-// later visit of the same state may be pruned only if this visit
-// explored at least as freely (superset budget, subset sleep); when
-// both visits come from the same worker it must also be strictly more
-// canonical and not simply the same run's own earlier pass through a
-// default-continuation cycle (see visit).
+// fpEntry is one visited-state record: the state's fingerprint, the
+// canonical identity of the visit (its taken-decision vector, kept in
+// the shard's key arena), the sleep set it ran under (in the shard's
+// sleep arena), the deviation budget it had, and the worker whose run
+// made the visit. The visitor was not pruned here, so its run continued
+// past the state. A later visit of the same state may be pruned only if
+// this visit explored at least as freely (superset budget, subset
+// sleep); when both visits come from the same worker it must also be
+// strictly more canonical and not simply the same run's own earlier
+// pass through a default-continuation cycle (see visit). An entry holds
+// no pointer, so the garbage collector never scans a shard's entries.
 type fpEntry struct {
-	key    []int
-	sleep  []sched.SleepEntry
+	fp     uint64
 	budget int
-	worker int
+	key    span
+	sleep  span
+	worker int32
 }
 
 // fpCacheEntries caps the visited-fingerprint cache, over all its
@@ -141,9 +145,20 @@ type fpEntry struct {
 // oldest entry (FIFO), which only forgoes pruning.
 const fpCacheEntries = 1 << 20
 
+// The first sizes of a one-shard cache's parts. A shard of an n-shard
+// cache starts from 1/n of each, and its ring blocks are half that,
+// which pays for the n shard headers: a sharded cache allocates no
+// more up front than one shard does.
+const (
+	fpIndexFirst   = 1024 // index slots
+	fpRingBlock    = 512  // entries per ring block
+	keyChunkSize   = 8192 // key bytes per arena chunk, at most
+	sleepChunkSize = 256  // sleep entries per arena chunk, at most
+)
+
 // fpCache is the bounded visited-fingerprint cache shared by all
 // workers of one exploration. It is split into a power-of-two number of
-// shards, each with its own lock, map, FIFO ring and key arena, and a
+// shards, each with its own lock, index, ring and arenas, and a
 // fingerprint's top bits pick its shard: every entry for one
 // fingerprint lives in one shard, so each visit sees exactly what an
 // unsharded cache would show it, and two workers visiting different
@@ -164,33 +179,39 @@ type fpCache struct {
 }
 
 // fpShard is one lock's share of the cache: at most capacity entries,
-// evicted FIFO.
+// evicted FIFO, in flat tables the garbage collector need not scan.
+//
+//   - index is an open-addressed table probed linearly from a
+//     fingerprint's home slot. A slot packs the fingerprint's low 32
+//     bits, which pick the home slot, above its entry's ring position
+//     plus one; 0 is an empty slot. The table doubles before it is three
+//     quarters full, and eviction deletes by backward shift, so it holds
+//     no tombstones.
+//   - ring holds the entries in blocks of 1<<blockBits. Until the shard
+//     is full an entry's ring position is its insertion number; from
+//     then on each insert takes the oldest entry's place (head), so the
+//     ring's order is the eviction order.
+//   - keys and sleeps are arenas holding each entry's encoded key
+//     (appendKey) and sleep set.
 type fpShard struct {
-	mu        sync.Mutex
-	capacity  int
-	entries   map[uint64]fpEntry
-	order     []uint64 // FIFO insertion ring
-	head      int
-	hits      int64
-	evictions int64
-	// keyChunk is the current slab for entry key copies: keys are
-	// immutable once inserted (the replace path reuses the entry's own
-	// slice), so carving them out of shared chunks cuts one heap object
-	// per visited state to 1/keyChunkSize amortized. FIFO eviction
-	// retires keys in roughly insertion order, so dead keys cluster in
-	// the oldest chunks and a chunk is collected once its window of
-	// entries has been evicted. A shard's first chunk is its share of
-	// keyChunkSize, and each later one doubles up to keyChunkSize, so a
-	// sharded cache allocates no more up front than one shard does.
-	keyChunk   []int
-	firstChunk int
+	mu         sync.Mutex
+	capacity   int
+	index      []uint64
+	firstIndex int // the index's first size (a power of two)
+	ring       [][]fpEntry
+	blockBits  uint
+	head       int // ring position of the oldest entry
+	n          int // live entries
+	keys       arena[byte]
+	sleeps     arena[sched.SleepEntry]
+	key        []byte // the visiting key, encoded
+	hits       int64
+	evictions  int64
 	// Pads shards apart, so that no cache line holds fields of two
 	// shards and a worker holding one shard's lock does not slow
 	// another's.
 	_ [64]byte
 }
-
-const keyChunkSize = 4096
 
 // fpShards is the shard count of a cache for this many workers: one for
 // one worker, otherwise the power of two at or above eight per worker,
@@ -205,20 +226,12 @@ func fpShards(workers, capacity int) int {
 }
 
 // newFPCache returns an empty cache of capacity entries for an
-// exploration with this many workers.
+// exploration with this many workers. Nothing is allocated for a shard
+// until its first insert, and then only its share of a one-shard
+// cache's first index, ring block and arena chunks; capacity only
+// bounds eviction.
 func newFPCache(capacity, workers int) *fpCache {
 	n := fpShards(workers, capacity)
-	// The map is NOT pre-sized to capacity: the default cap is 2^20
-	// entries, and clearing that many empty buckets up front costs more
-	// than entire small explorations (it was 75% of reduced-mode CPU on
-	// the bench workload). capacity only bounds eviction; the maps grow
-	// to fit actual use. A sharded cache sizes each shard's map for half
-	// its share of the one-shard hint: n maps sized for full shares would
-	// together cost more up front than the one map does.
-	hint := min(capacity/4, 1024)
-	if n > 1 {
-		hint /= 2 * n
-	}
 	c := &fpCache{
 		noLock: workers == 1,
 		shift:  uint(64 - bits.TrailingZeros(uint(n))),
@@ -230,61 +243,36 @@ func newFPCache(capacity, workers int) *fpCache {
 		if i < capacity%n {
 			s.capacity++
 		}
-		s.entries = make(map[uint64]fpEntry, hint)
-		s.firstChunk = keyChunkSize / n
+		s.firstIndex = max(fpIndexFirst/n, 2)
+		block := fpRingBlock / n
+		if n > 1 {
+			block /= 2
+		}
+		s.blockBits = uint(bits.TrailingZeros(uint(max(block, 1))))
+		s.keys = arena[byte]{first: max(keyChunkSize/n, 1), max: keyChunkSize}
+		s.sleeps = arena[sched.SleepEntry]{first: max(sleepChunkSize/n, 1), max: sleepChunkSize}
 	}
 	return c
 }
 
-// putKey copies key into the current chunk, returning a stable
-// full-capacity subslice.
-func (s *fpShard) putKey(key []int) []int {
-	if len(s.keyChunk)+len(key) > cap(s.keyChunk) {
-		n := max(min(2*cap(s.keyChunk), keyChunkSize), s.firstChunk, len(key))
-		s.keyChunk = make([]int, 0, n)
-	}
-	ks := len(s.keyChunk)
-	s.keyChunk = append(s.keyChunk, key...)
-	return s.keyChunk[ks:len(s.keyChunk):len(s.keyChunk)]
-}
-
-// compareKey orders taken-decision vectors lexicographically with a
-// proper prefix before its extensions — a well-founded total order on
-// visits, which the pruning induction needs.
-func compareKey(a, b []int) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	for i := 0; i < n; i++ {
-		if a[i] != b[i] {
-			if a[i] < b[i] {
-				return -1
-			}
-			return 1
+// appendKey appends the encoding of a taken-decision vector to b: one
+// byte for a decision below 0xFF, and 0xFF followed by the decision's
+// four big-endian bytes otherwise (decisions are candidate indices, so
+// they fit). No code is a prefix of another, and codes order as their
+// decisions do. So bytes.Compare orders encoded keys lexicographically
+// with a proper prefix before its extensions — a well-founded total
+// order on visits, which the pruning induction needs — and for two
+// distinct keys, bytes.HasPrefix(b, a) holds exactly when a's vector is
+// a proper prefix of b's.
+func appendKey(b []byte, taken []int) []byte {
+	for _, d := range taken {
+		if d < 0xFF {
+			b = append(b, byte(d))
+		} else {
+			b = append(b, 0xFF, byte(d>>24), byte(d>>16), byte(d>>8), byte(d))
 		}
 	}
-	switch {
-	case len(a) < len(b):
-		return -1
-	case len(a) > len(b):
-		return 1
-	default:
-		return 0
-	}
-}
-
-// isPrefix reports whether a is a proper prefix of b.
-func isPrefix(a, b []int) bool {
-	if len(a) >= len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return b
 }
 
 // sleepSubset reports whether every entry of a is present in b.
@@ -340,28 +328,29 @@ func (c *fpCache) visit(fp uint64, w int, taken []int, sleep []sched.SleepEntry,
 		s.mu.Lock()
 		defer s.mu.Unlock()
 	}
-	e, ok := s.entries[fp]
-	if !ok {
-		s.insert(fp, w, taken, sleep, budget)
+	slot, e := s.find(fp)
+	if e == nil {
+		s.insert(slot, fp, w, taken, sleep, budget)
 		return false
 	}
 	s.hits++
-	if e.worker != w {
-		return e.covers(budget, sleep)
+	if int(e.worker) != w {
+		return s.covers(e, budget, sleep)
 	}
-	switch cmp := compareKey(e.key, taken); {
+	s.key = appendKey(s.key[:0], taken)
+	cached := s.keys.get(e.key)
+	switch cmp := bytes.Compare(cached, s.key); {
 	case cmp == 0:
 		return false
 	case cmp < 0:
-		return !isPrefix(e.key, taken) && e.covers(budget, sleep)
+		return !bytes.HasPrefix(s.key, cached) && s.covers(e, budget, sleep)
 	default:
 		// The current run is the more canonical visitor: replace the
-		// entry in place, reusing its slices (they belong to this entry
-		// alone, so truncate-and-append cannot alias another visitor).
-		e.key = append(e.key[:0], taken...)
-		e.sleep = append(e.sleep[:0], sleep...)
+		// entry's key and sleep set, in place where they fit (they belong
+		// to this entry alone).
+		e.key = s.keys.replace(e.key, s.key)
+		e.sleep = s.sleeps.replace(e.sleep, sleep)
 		e.budget = budget
-		s.entries[fp] = e
 		return false
 	}
 }
@@ -370,31 +359,118 @@ func (c *fpCache) visit(fp uint64, w int, taken []int, sleep []sched.SleepEntry,
 // least as freely as a visitor with this budget and sleep set: every
 // deviation the visitor may still place, e's visitor could too, and
 // every branch the visitor may take, e's visitor did not skip.
-func (e fpEntry) covers(budget int, sleep []sched.SleepEntry) bool {
-	return e.budget >= budget && sleepSubset(e.sleep, sleep)
+func (s *fpShard) covers(e *fpEntry, budget int, sleep []sched.SleepEntry) bool {
+	return e.budget >= budget && sleepSubset(s.sleeps.get(e.sleep), sleep)
 }
 
-// insert records a miss in the shard, evicting the shard's oldest entry
-// when it is full.
-func (s *fpShard) insert(fp uint64, w int, taken []int, sleep []sched.SleepEntry, budget int) {
-	if len(s.entries) >= s.capacity {
-		victim := s.order[s.head]
-		s.order[s.head] = fp
-		s.head = (s.head + 1) % len(s.order)
-		delete(s.entries, victim)
-		s.evictions++
-	} else {
-		s.order = append(s.order, fp)
+// find returns the index slot holding fp's entry and the entry, or the
+// slot at which fp's probe ends and nil when fp has no entry.
+func (s *fpShard) find(fp uint64) (int, *fpEntry) {
+	if len(s.index) == 0 {
+		return -1, nil
 	}
-	var sleepCopy []sched.SleepEntry
-	if len(sleep) > 0 {
-		sleepCopy = append(sleepCopy, sleep...)
+	mask := len(s.index) - 1
+	tag := fp << 32
+	for i := int(uint32(fp)) & mask; ; i = (i + 1) & mask {
+		v := s.index[i]
+		if v == 0 {
+			return i, nil
+		}
+		if v&^math.MaxUint32 == tag {
+			if e := s.entry(int(uint32(v)) - 1); e.fp == fp {
+				return i, e
+			}
+		}
 	}
-	s.entries[fp] = fpEntry{
-		key:    s.putKey(taken),
-		sleep:  sleepCopy,
+}
+
+// entry returns the entry at ring position id.
+func (s *fpShard) entry(id int) *fpEntry {
+	return &s.ring[id>>s.blockBits][id&(1<<s.blockBits-1)]
+}
+
+// insert records a miss at the index slot where fp's probe ended (-1
+// for an empty index), evicting the shard's oldest entry when it is
+// full. Eviction and growth move slots, so after either fp is probed
+// again.
+func (s *fpShard) insert(slot int, fp uint64, w int, taken []int, sleep []sched.SleepEntry, budget int) {
+	if s.n == s.capacity {
+		s.evict()
+		slot = -1
+	}
+	id := s.head + s.n
+	if id >= s.capacity {
+		id -= s.capacity
+	}
+	if id>>s.blockBits == len(s.ring) {
+		// Positions fill in order until the shard is full, so id starts
+		// the block.
+		s.ring = append(s.ring, make([]fpEntry, min(1<<s.blockBits, s.capacity-id)))
+	}
+	s.n++
+	if 4*s.n > 3*len(s.index) {
+		s.grow()
+		slot = -1
+	}
+	if slot < 0 {
+		slot, _ = s.find(fp)
+	}
+	s.index[slot] = fp<<32 | uint64(id+1)
+	s.key = appendKey(s.key[:0], taken)
+	*s.entry(id) = fpEntry{
+		fp:     fp,
 		budget: budget,
-		worker: w,
+		key:    s.keys.put(s.key),
+		sleep:  s.sleeps.put(sleep),
+		worker: int32(w),
+	}
+}
+
+// evict drops the oldest entry: it empties the entry's index slot by
+// backward-shift deletion and releases its key and sleep set.
+func (s *fpShard) evict() {
+	id := s.head
+	e := s.entry(id)
+	mask := len(s.index) - 1
+	i := int(uint32(e.fp)) & mask
+	for s.index[i] != e.fp<<32|uint64(id+1) {
+		i = (i + 1) & mask
+	}
+	// Move each later slot of the probe run back into the hole, unless
+	// that would put it before its home slot.
+	for j := (i + 1) & mask; s.index[j] != 0; j = (j + 1) & mask {
+		v := s.index[j]
+		if home := int(uint32(v>>32)) & mask; (j-home)&mask >= (j-i)&mask {
+			s.index[i] = v
+			i = j
+		}
+	}
+	s.index[i] = 0
+	s.keys.release(e.key)
+	s.sleeps.release(e.sleep)
+	if s.head++; s.head == s.capacity {
+		s.head = 0
+	}
+	s.n--
+	s.evictions++
+}
+
+// grow doubles the index (or allocates its first size) and re-homes
+// every slot. A slot carries the bits that pick its home, so the ring
+// is not read.
+func (s *fpShard) grow() {
+	old := s.index
+	s.index = make([]uint64, max(2*len(old), s.firstIndex))
+	mask := len(s.index) - 1
+	for _, v := range old {
+		if v == 0 {
+			continue
+		}
+		i := int(uint32(v>>32)) & mask
+		for s.index[i] != 0 {
+			i = (i + 1) & mask
+		}
+		s.index[i] = v
 	}
 }
 
@@ -405,10 +481,9 @@ func (s *fpShard) insert(fp uint64, w int, taken []int, sleep []sched.SleepEntry
 // in the other shards while one is emptied.
 func (c *fpCache) shed() {
 	c.each(func(s *fpShard) {
-		s.entries = make(map[uint64]fpEntry, 64/len(c.shards))
-		s.order = nil
-		s.head = 0
-		s.keyChunk = nil
+		s.index, s.ring, s.head, s.n = nil, nil, 0, 0
+		s.keys.reset()
+		s.sleeps.reset()
 	})
 }
 
@@ -417,7 +492,7 @@ func (c *fpCache) stats() (hits, evictions int64, entries int) {
 	c.each(func(s *fpShard) {
 		hits += s.hits
 		evictions += s.evictions
-		entries += len(s.entries)
+		entries += s.n
 	})
 	return hits, evictions, entries
 }
@@ -436,6 +511,102 @@ func (c *fpCache) each(f func(s *fpShard)) {
 			s.mu.Unlock()
 		}
 	}
+}
+
+// span locates one key or sleep set in its arena: n elements from
+// offset off of chunk chunk. An empty span refers to no chunk.
+type span struct{ chunk, off, n uint32 }
+
+// arena holds one shard's keys or sleep sets in chunks, so that an
+// entry refers to its own by a pointer-free span. Each chunk counts the
+// live spans in it, and a chunk left with none, other than the one
+// being filled, is dropped and its id reused. Eviction is FIFO, so dead
+// spans cluster in the oldest chunks, and an evicting cache holds a
+// bounded number of chunks. The first chunk holds first elements, and
+// each later one doubles up to max.
+type arena[T any] struct {
+	chunks     [][]T    // by id; nil once dropped
+	live       []int32  // live spans per chunk
+	free       []uint32 // ids of dropped chunks
+	cur        uint32   // the chunk being filled, when there are chunks
+	first, max int
+}
+
+// put copies v into the arena.
+func (a *arena[T]) put(v []T) span {
+	if len(v) == 0 {
+		return span{}
+	}
+	if len(a.chunks) == 0 || len(a.chunks[a.cur])+len(v) > cap(a.chunks[a.cur]) {
+		a.next(len(v))
+	}
+	c := a.chunks[a.cur]
+	a.chunks[a.cur] = append(c, v...)
+	a.live[a.cur]++
+	return span{chunk: a.cur, off: uint32(len(c)), n: uint32(len(v))}
+}
+
+// next starts a chunk with room for at least need elements, dropping
+// the current one if no live span is left in it.
+func (a *arena[T]) next(need int) {
+	size, old := a.first, -1
+	if len(a.chunks) > 0 {
+		old = int(a.cur)
+		size = max(min(2*cap(a.chunks[a.cur]), a.max), a.first)
+	}
+	if n := len(a.free); n > 0 {
+		a.cur, a.free = a.free[n-1], a.free[:n-1]
+	} else {
+		a.cur = uint32(len(a.chunks))
+		a.chunks = append(a.chunks, nil)
+		a.live = append(a.live, 0)
+	}
+	a.chunks[a.cur] = make([]T, 0, max(size, need))
+	if old >= 0 && a.live[old] == 0 {
+		a.drop(uint32(old))
+	}
+}
+
+// get returns the elements at s. They stay valid until s is released
+// or replaced.
+func (a *arena[T]) get(s span) []T {
+	if s.n == 0 {
+		return nil
+	}
+	return a.chunks[s.chunk][s.off : s.off+s.n]
+}
+
+// replace stores v in s's place, overwriting s's elements when v fits
+// in them, and returns v's span.
+func (a *arena[T]) replace(s span, v []T) span {
+	if len(v) > 0 && len(v) <= int(s.n) {
+		copy(a.chunks[s.chunk][s.off:], v)
+		s.n = uint32(len(v))
+		return s
+	}
+	a.release(s)
+	return a.put(v)
+}
+
+// release gives up s, dropping its chunk when s was the chunk's last
+// live span and the chunk is not being filled.
+func (a *arena[T]) release(s span) {
+	if s.n == 0 {
+		return
+	}
+	if a.live[s.chunk]--; a.live[s.chunk] == 0 && s.chunk != a.cur {
+		a.drop(s.chunk)
+	}
+}
+
+func (a *arena[T]) drop(id uint32) {
+	a.chunks[id] = nil
+	a.free = append(a.free, id)
+}
+
+// reset empties the arena, keeping its chunk sizes.
+func (a *arena[T]) reset() {
+	*a = arena[T]{first: a.first, max: a.max}
 }
 
 // pruneFunc adapts the cache to the chooser-side sched.PruneFunc

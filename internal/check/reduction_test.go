@@ -1,6 +1,7 @@
 package check
 
 import (
+	"bytes"
 	"fmt"
 	"math/bits"
 	"runtime"
@@ -57,6 +58,12 @@ func TestCompareKeyOrder(t *testing.T) {
 		{[]int{1}, []int{1, 0}, -1}, // proper prefix precedes its extension
 		{[]int{0, 5}, []int{1}, -1}, // lexicographic before length
 		{[]int{2}, []int{1, 9, 9}, 1},
+		// Decisions from 0xFF up take five bytes in the encoded key.
+		{[]int{254}, []int{255}, -1},
+		{[]int{255}, []int{256}, -1},
+		{[]int{255}, []int{255, 0}, -1},
+		{[]int{1 << 20}, []int{255, 1 << 20}, 1},
+		{[]int{7, 70000, 3}, []int{7, 70000, 3}, 0},
 	}
 	for _, tc := range cases {
 		if got := compareKey(tc.a, tc.b); got != tc.want {
@@ -64,6 +71,10 @@ func TestCompareKeyOrder(t *testing.T) {
 		}
 		if got := compareKey(tc.b, tc.a); got != -tc.want {
 			t.Errorf("compareKey(%v, %v) = %d, want %d", tc.b, tc.a, got, -tc.want)
+		}
+		// The cache compares encoded keys; they must order alike.
+		if got := bytes.Compare(appendKey(nil, tc.a), appendKey(nil, tc.b)); got != tc.want {
+			t.Errorf("encoded %v vs %v: bytes.Compare = %d, want %d", tc.a, tc.b, got, tc.want)
 		}
 	}
 }
@@ -78,10 +89,18 @@ func TestIsPrefix(t *testing.T) {
 		{[]int{1, 2}, []int{1, 2}, false}, // proper prefix only
 		{[]int{2}, []int{1, 2}, false},
 		{[]int{1, 2, 3}, []int{1, 2}, false},
+		{[]int{255}, []int{255, 0}, true},
+		{[]int{255}, []int{256}, false}, // shares the encoded 0xFF byte
+		{[]int{0, 0, 1}, []int{0, 0, 1 << 8}, false},
 	}
 	for _, tc := range cases {
 		if got := isPrefix(tc.a, tc.b); got != tc.want {
 			t.Errorf("isPrefix(%v, %v) = %v, want %v", tc.a, tc.b, got, tc.want)
+		}
+		// The cache tests encoded keys; a proper prefix must encode as one.
+		ea, eb := appendKey(nil, tc.a), appendKey(nil, tc.b)
+		if got := len(ea) < len(eb) && bytes.HasPrefix(eb, ea); got != tc.want {
+			t.Errorf("encoded %v prefix of %v = %v, want %v", tc.a, tc.b, got, tc.want)
 		}
 	}
 }
@@ -176,8 +195,8 @@ func TestFPCacheVisitRules(t *testing.T) {
 	if c3.visit(300, 1, []int{1, 1}, []sched.SleepEntry{e2}, 5) {
 		t.Fatal("pruned despite a non-superset sleep set")
 	}
-	if e := c3.shards[0].entries[300]; e.worker != 0 || compareKey(e.key, []int{2, 1}) != 0 {
-		t.Fatalf("another worker's smaller key replaced the entry: worker %d, key %v", e.worker, e.key)
+	if _, e := c3.shards[0].find(300); e.worker != 0 || !bytes.Equal(c3.shards[0].keys.get(e.key), appendKey(nil, []int{2, 1})) {
+		t.Fatalf("another worker's smaller key replaced the entry: worker %d, key %v", e.worker, c3.shards[0].keys.get(e.key))
 	}
 	if !c3.visit(300, 0, []int{3}, []sched.SleepEntry{e1}, 5) {
 		t.Fatal("worker 0's entry no longer prunes its own larger keys")

@@ -348,11 +348,23 @@ func init() {
 			if len(spec.Decisions)%2 != 0 {
 				return nil, fmt.Errorf("sched: budgeted model wants flattened (decision, choice) pairs, got %d values", len(spec.Decisions))
 			}
-			b := &BudgetedSwitch{SwitchAt: make(map[int64]int, len(spec.Decisions)/2), Budget: int(spec.Param("budget"))}
+			// The pairs may come unsorted or repeat an index: sort them,
+			// keep the last pair for each index, and drop negative indices,
+			// which no decision reaches.
+			word := make([]Switch, 0, len(spec.Decisions)/2)
 			for i := 0; i < len(spec.Decisions); i += 2 {
-				b.SwitchAt[int64(spec.Decisions[i])] = spec.Decisions[i+1]
+				if at := int64(spec.Decisions[i]); at >= 0 {
+					word = append(word, Switch{At: at, Choice: spec.Decisions[i+1]})
+				}
 			}
-			return b, nil
+			sort.SliceStable(word, func(i, j int) bool { return word[i].At < word[j].At })
+			last := word[:0]
+			for i, sw := range word {
+				if i+1 == len(word) || word[i+1].At != sw.At {
+					last = append(last, sw)
+				}
+			}
+			return &BudgetedSwitch{SwitchAt: last, Budget: int(spec.Param("budget"))}, nil
 		},
 	})
 	RegisterModel(&Model{

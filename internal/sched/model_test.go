@@ -33,7 +33,7 @@ var modelMatrix = []struct {
 		func() sim.Chooser { return &sched.Script{Decisions: []int{1, 0, 1, 1, 0, 2, 1, 0}} }},
 	{"budgeted", `{"name":"budgeted","params":{"budget":2},"decisions":[3,1,9,0]}`,
 		func() sim.Chooser {
-			return &sched.BudgetedSwitch{SwitchAt: map[int64]int{3: 1, 9: 0}, Budget: 2}
+			return &sched.BudgetedSwitch{SwitchAt: []sched.Switch{{At: 3, Choice: 1}, {At: 9, Choice: 0}}, Budget: 2}
 		}},
 	{"reduced", `{"name":"reduced","decisions":[1,0,1]}`,
 		func() sim.Chooser { return &sched.Reduced{Prefix: []int{1, 0, 1}, SleepSets: true, Budget: 1 << 30} }},
@@ -117,6 +117,31 @@ func TestModelCrossCheck(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestBudgetedModelPairsActAsMap: the budgeted model reads its
+// flattened (decision, choice) pairs as a map from decision index to
+// choice, so pairs in any order, a repeated index (the last pair wins)
+// and a negative index (never reached) run exactly as the sorted switch
+// word they describe.
+func TestBudgetedModelPairsActAsMap(t *testing.T) {
+	spec, err := sched.ParseModelSpec(`{"name":"budgeted","params":{"budget":2},"decisions":[9,1,3,0,-2,1,3,1,9,0]}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, meta := range modelWorkloads {
+		built, err := sched.NewFromSpec(spec)
+		if err != nil {
+			t.Fatalf("NewFromSpec(%s): %v", spec, err)
+		}
+		got := runRecorded(t, meta, built)
+		want := runRecorded(t, meta, &sched.BudgetedSwitch{SwitchAt: []sched.Switch{{At: 3, Choice: 1}, {At: 9, Choice: 0}}, Budget: 2})
+		gotJSON, _ := json.Marshal(got)
+		wantJSON, _ := json.Marshal(want)
+		if string(gotJSON) != string(wantJSON) {
+			t.Errorf("%s: unsorted pairs and the sorted word differ\n pairs: %s\n word:  %s", meta.Workload, gotJSON, wantJSON)
+		}
 	}
 }
 

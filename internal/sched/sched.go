@@ -214,10 +214,13 @@ func (*Script) ReadsSince() bool { return false }
 // where a bounded number of context switches are placed, which is where
 // all the interesting behaviour of quantum-scheduled algorithms lives.
 type BudgetedSwitch struct {
-	// SwitchAt maps decision index → candidate choice; decisions not
-	// present continue the current process when possible.
-	SwitchAt map[int64]int
-	current  *sim.Process
+	// SwitchAt is the switch word: the directed switches, sorted by
+	// decision index, at most one per index. Decisions not in it continue
+	// the current process when possible. The chooser only reads it.
+	SwitchAt []Switch
+	// next is the cursor into SwitchAt: its first switch not yet reached.
+	next    int
+	current *sim.Process
 	// Decision counts decisions seen so far.
 	Decision int64
 	// Fanouts records len(Candidates) at each decision point.
@@ -242,23 +245,23 @@ type BudgetedSwitch struct {
 	// Pruned reports that Prune cut the run (Run returned
 	// sim.ErrPickAbort).
 	Pruned bool
-	// lastSwitch is the largest decision index in SwitchAt (-1 if
-	// none), found at the run's first Pick so the free-decision check
-	// is one comparison rather than a scan of the map.
-	lastSwitch int64
 }
 
-// Reset rewinds the chooser for a pooled rerun with a new deviation
-// budget, reusing the switch map and record buffers. The caller refills
-// SwitchAt (cleared here) and keeps Prune as configured. Equivalent to
-// replacing the chooser with &BudgetedSwitch{SwitchAt: ..., Budget:
+// Switch is one directed switch of a BudgetedSwitch word: at decision
+// index At, take candidate Choice.
+type Switch struct {
+	At     int64
+	Choice int
+}
+
+// Reset rewinds the chooser for a pooled rerun of switch word word
+// (sorted by decision index) with a new deviation budget, reusing the
+// record buffers, and keeps Prune as configured. Equivalent to
+// replacing the chooser with &BudgetedSwitch{SwitchAt: word, Budget:
 // budget, Prune: ...}.
-func (b *BudgetedSwitch) Reset(budget int) {
-	if b.SwitchAt == nil {
-		b.SwitchAt = make(map[int64]int)
-	} else {
-		clear(b.SwitchAt)
-	}
+func (b *BudgetedSwitch) Reset(word []Switch, budget int) {
+	b.SwitchAt = word
+	b.next = 0
 	b.current = nil
 	b.Decision = 0
 	b.Fanouts = b.Fanouts[:0]
@@ -269,35 +272,25 @@ func (b *BudgetedSwitch) Reset(budget int) {
 	b.Pruned = false
 }
 
-// lastDirected returns the largest decision index in SwitchAt, or -1
-// if the map is empty.
-func (b *BudgetedSwitch) lastDirected() int64 {
-	last := int64(-1)
-	//repro:allow maporder max scan; any-order traversal yields the same maximum
-	for d := range b.SwitchAt {
-		last = max(last, d)
-	}
-	return last
-}
-
 // Pick implements sim.Chooser.
 func (b *BudgetedSwitch) Pick(d sim.Decision) int {
 	idx := b.Decision
 	b.Decision++
-	if idx == 0 {
-		b.lastSwitch = b.lastDirected()
-	}
 	b.Fanouts = append(b.Fanouts, len(d.Candidates))
-	choice, ok := b.SwitchAt[idx]
+	var choice int
 	switch {
-	case ok:
+	case b.next < len(b.SwitchAt) && b.SwitchAt[b.next].At == idx:
+		choice = b.SwitchAt[b.next].Choice
+		b.next++
 		if choice >= len(d.Candidates) {
 			choice = len(d.Candidates) - 1
 			b.Clamped = true
 			b.ClampCount++
 		}
 	default:
-		if b.Prune != nil && idx > b.lastSwitch {
+		// Every switch sits at a decision already made once the cursor
+		// has passed them all.
+		if b.Prune != nil && b.next == len(b.SwitchAt) {
 			extra := ^uint64(0)
 			if b.current != nil {
 				extra = uint64(b.current.ID())
@@ -307,7 +300,6 @@ func (b *BudgetedSwitch) Pick(d sim.Decision) int {
 				return sim.PickAbort
 			}
 		}
-		choice = 0
 		for i, p := range d.Candidates {
 			if p == b.current {
 				choice = i

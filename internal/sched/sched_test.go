@@ -159,7 +159,7 @@ func TestScriptRecordsFanouts(t *testing.T) {
 }
 
 func TestBudgetedSwitchRecordsTaken(t *testing.T) {
-	b := &sched.BudgetedSwitch{SwitchAt: map[int64]int{0: 1}}
+	b := &sched.BudgetedSwitch{SwitchAt: []sched.Switch{{At: 0, Choice: 1}}}
 	sys := sim.New(sim.Config{Processors: 1, Quantum: 2, Chooser: b})
 	for i := 0; i < 2; i++ {
 		sys.AddProcess(sim.ProcSpec{Processor: 0, Priority: 1}).
@@ -214,7 +214,7 @@ func TestScriptInRangeNotClamped(t *testing.T) {
 // TestBudgetedSwitchClampFlagged is the BudgetedSwitch analogue of
 // TestScriptClampFlagged.
 func TestBudgetedSwitchClampFlagged(t *testing.T) {
-	b := &sched.BudgetedSwitch{SwitchAt: map[int64]int{0: 9}}
+	b := &sched.BudgetedSwitch{SwitchAt: []sched.Switch{{At: 0, Choice: 9}}}
 	sys := sim.New(sim.Config{Processors: 1, Quantum: 2, Chooser: b})
 	for i := 0; i < 2; i++ {
 		sys.AddProcess(sim.ProcSpec{Processor: 0, Priority: 1}).

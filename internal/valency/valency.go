@@ -173,8 +173,8 @@ func AnalyzeBudget(s Scenario, budget, maxLeaves int) *Result {
 	root := newNode(0)
 	res := &Result{Decisions: map[mem.Word]int{}}
 
-	var rec func(switches map[int64]int, minIndex int64, budget int)
-	rec = func(switches map[int64]int, minIndex int64, budget int) {
+	var rec func(switches []sched.Switch, minIndex int64, budget int)
+	rec = func(switches []sched.Switch, minIndex int64, budget int) {
 		if res.Leaves >= maxLeaves {
 			res.Truncated = true
 			return
@@ -193,11 +193,8 @@ func AnalyzeBudget(s Scenario, budget, maxLeaves int) *Result {
 				if choice == ch.Taken[d] {
 					continue
 				}
-				next := make(map[int64]int, len(switches)+1)
-				for k, v := range switches {
-					next[k] = v
-				}
-				next[d] = choice
+				// d lies past every switch so far, so the word stays sorted.
+				next := append(switches[:len(switches):len(switches)], sched.Switch{At: d, Choice: choice})
 				rec(next, d+1, budget-1)
 				if res.Truncated {
 					return
@@ -205,7 +202,7 @@ func AnalyzeBudget(s Scenario, budget, maxLeaves int) *Result {
 			}
 		}
 	}
-	rec(map[int64]int{}, 0, budget)
+	rec(nil, 0, budget)
 	res.classify(root)
 	return res
 }
