@@ -153,9 +153,6 @@ type Bundle struct {
 type ReplayOptions struct {
 	// Trace renders the run's timeline into Report.Trace.
 	Trace bool
-	// TraceLimit bounds the trace recorder (0 = trace.NewRecorder's
-	// default).
-	TraceLimit int
 	// Record captures the taken decision vector and fired crash points
 	// into the Report (the raw material for Normalize).
 	Record bool
@@ -249,7 +246,7 @@ func Replay(b *Bundle, opts ReplayOptions) (*Report, error) {
 	var tr *trace.Recorder
 	var obs sim.Observer
 	if opts.Trace {
-		tr = trace.NewRecorder(opts.TraceLimit)
+		tr = trace.NewRecorder(0)
 		obs = tr
 	}
 

@@ -364,16 +364,8 @@ func (s *chooserSlot) Crashes(d sim.Decision) []*sim.Process {
 }
 
 // CrashesArmed reports whether the current inner chooser can inject
-// faults (see sim.Config.Chooser's crash-arming protocol).
-func (s *chooserSlot) CrashesArmed() bool {
-	if s.crasher == nil {
-		return false
-	}
-	if ca, ok := s.crasher.(interface{ CrashesArmed() bool }); ok {
-		return ca.CrashesArmed()
-	}
-	return true
-}
+// faults.
+func (s *chooserSlot) CrashesArmed() bool { return sim.CrashesArmed(s.ch) }
 
 // runner executes one schedule after another for a single worker,
 // pooling the built system across replays when the builder constructs

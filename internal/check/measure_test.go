@@ -9,24 +9,25 @@ import (
 	"repro/internal/sched"
 )
 
-// fuzzModelSpecs pins one representative spec per registered scheduler
-// model for the replay-determinism matrix. Wrapper rows nest a
-// stochastic inner model; the randomcrash row is the matrix's
-// crash-injection coverage.
-var fuzzModelSpecs = map[string]string{
-	"uniform":     "uniform:seed=11",
-	"markov":      "markov:stay=0.8,seed=4",
-	"noisy":       "noisy:eps=0.15,seed=6",
-	"rtc":         "rtc",
-	"rotate":      "rotate",
-	"stagger":     "stagger:period=2,phase=1",
-	"script":      `{"name":"script","decisions":[1,0,1,1,0,1]}`,
-	"budgeted":    `{"name":"budgeted","decisions":[2,1,7,0]}`,
-	"reduced":     `{"name":"reduced","decisions":[1,0]}`,
-	"crash":       `{"name":"crash","plan":[{"Proc":1,"Step":6}],"inner":{"name":"uniform","seed":3}}`,
-	"randomcrash": `{"name":"randomcrash","seed":9,"params":{"max":1,"prob":0.05},"inner":{"name":"markov","seed":2}}`,
-	"watchdog":    `{"name":"watchdog","inner":{"name":"uniform","seed":3}}`,
-	"record":      `{"name":"record","inner":{"name":"uniform","seed":3}}`,
+// fuzzModelRows pins one representative spec per registered scheduler
+// model for the replay-determinism matrix, plus the crash row: a fixed
+// fault plan in Meta.Crashes, the way explorers, replays and jobs
+// inject planned faults, under a stochastic model. The randomcrash row
+// nests a stochastic inner model.
+var fuzzModelRows = []struct {
+	name    string
+	spec    string
+	crashes []sched.CrashPoint
+}{
+	{"uniform", "uniform:seed=11", nil},
+	{"markov", "markov:stay=0.8,seed=4", nil},
+	{"noisy", "noisy:eps=0.15,seed=6", nil},
+	{"rtc", "rtc", nil},
+	{"rotate", "rotate", nil},
+	{"stagger", "stagger:period=2,phase=1", nil},
+	{"script", `{"name":"script","decisions":[1,0,1,1,0,1]}`, nil},
+	{"randomcrash", `{"name":"randomcrash","seed":9,"params":{"max":1,"prob":0.05},"inner":{"name":"markov","seed":2}}`, nil},
+	{"crash", "uniform:seed=3", []sched.CrashPoint{{Proc: 1, Step: 6}}},
 }
 
 // fuzzOutcome is the byte-comparable outcome of one model fuzz sweep.
@@ -73,22 +74,22 @@ func runModelFuzz(t *testing.T, meta artifact.Meta, spec *sched.ModelSpec, bound
 // TestFuzzModelDeterminismMatrix is the satellite replay-determinism
 // matrix: for every registered scheduler model, the same spec and seed
 // range produce identical decision traces, verdicts, and measurement
-// histograms at Parallelism 1 and 4 — including the crash-injecting
-// rows — and every recorded violation trace replays to the same
-// verdict through the script model.
+// histograms at Parallelism 1 and 4 — including the randomcrash and
+// crash rows — and every recorded violation trace replays to
+// the same verdict through the script model.
 func TestFuzzModelDeterminismMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("matrix sweep is not short")
 	}
 	// The lockcounter negative control under a tight bound produces
 	// violations, so verdict determinism is exercised, not just counts.
-	meta := artifact.Meta{Workload: "lockcounter", N: 2, V: 2, Quantum: 2, MaxSteps: 2000}
 	const bound = 200
-	for name, specStr := range fuzzModelSpecs {
-		t.Run(name, func(t *testing.T) {
-			spec, err := sched.ParseModelSpec(specStr)
+	for _, row := range fuzzModelRows {
+		t.Run(row.name, func(t *testing.T) {
+			meta := artifact.Meta{Workload: "lockcounter", N: 2, V: 2, Quantum: 2, MaxSteps: 2000, Crashes: row.crashes}
+			spec, err := sched.ParseModelSpec(row.spec)
 			if err != nil {
-				t.Fatalf("ParseModelSpec(%q): %v", specStr, err)
+				t.Fatalf("ParseModelSpec(%q): %v", row.spec, err)
 			}
 			seq := runModelFuzz(t, meta, spec, bound, 1)
 			par := runModelFuzz(t, meta, spec, bound, 4)
@@ -98,11 +99,10 @@ func TestFuzzModelDeterminismMatrix(t *testing.T) {
 				t.Errorf("P=1 and P=4 sweeps differ\n seq: %s\n par: %s", a, b)
 			}
 			// Every recorded violation replays to the same verdict
-			// through the script model (fired crashes are part of the
-			// decision-trace determinism above; the trace replay is
-			// meaningful for crash-free rows and still must not diverge
-			// in verdict kind for the rest).
-			if spec.Name != "crash" && spec.Name != "randomcrash" {
+			// through the script model, the planned crashes with it
+			// (randomcrash's fired crashes are part of the
+			// decision-trace determinism above, not of the replay).
+			if spec.Name != "randomcrash" {
 				for _, v := range seq.Violations {
 					replay := runModelFuzz(t, meta, &sched.ModelSpec{Name: "script", Decisions: v.Decisions}, bound, 1)
 					if replay.ViolationsTotal == 0 {

@@ -21,10 +21,8 @@ import (
 // Field applicability varies by model. Seed feeds stochastic models
 // (and the randomcrash wrapper); Params carries named numeric knobs
 // (unknown names are rejected); Decisions is the script model's replay
-// vector and the budgeted model's flattened (index, choice) switch
-// word; Plan is the crash wrapper's fault schedule; Inner nests the
-// wrapped model for wrapper models (crash, randomcrash, watchdog,
-// record) and must be absent otherwise.
+// vector; Inner nests the wrapped model for the randomcrash wrapper and
+// must be absent otherwise.
 type ModelSpec struct {
 	// Name is the registered model name (see Models).
 	Name string `json:"name"`
@@ -32,28 +30,22 @@ type ModelSpec struct {
 	Seed int64 `json:"seed,omitempty"`
 	// Params holds named numeric parameters (e.g. stay, eps, period).
 	Params map[string]float64 `json:"params,omitempty"`
-	// Decisions parameterizes the script model (decision vector) and
-	// the budgeted model (flattened index/choice pairs).
+	// Decisions is the script model's decision vector.
 	Decisions []int `json:"decisions,omitempty"`
-	// Plan is the crash wrapper's planned fault schedule.
-	Plan []CrashPoint `json:"plan,omitempty"`
 	// Inner is the wrapped model (wrapper models only).
 	Inner *ModelSpec `json:"inner,omitempty"`
 }
 
 // Model is one registered scheduler model: a named, documented chooser
-// factory. Registration is what turns scheduler diversity from
-// copy-paste wiring into data — every layer that used to hard-code a
-// chooser type (check's fuzzer, artifact replay, jobspecs, CLIs) now
-// resolves a ModelSpec through this registry instead.
+// factory for a schedule source a user names (-sched-model, a jobspec's
+// sched_model, a bundle's sched.model, a campaign's identity). The
+// choosers an engine arms itself (Reduced, BudgetedSwitch, Watchdog,
+// Record, Crash) are not registered: their owners build them directly.
 type Model struct {
 	// Name is the registry key.
 	Name string
 	// Doc is a one-line description for -help output.
 	Doc string
-	// Stochastic reports that the model consumes ModelSpec.Seed: its
-	// decision stream varies by seed but is a pure function of it.
-	Stochastic bool
 	// Wrapper reports that the model wraps ModelSpec.Inner.
 	Wrapper bool
 	// Params names the model's recognized parameters and their
@@ -73,12 +65,6 @@ func RegisterModel(m *Model) {
 		panic("sched: duplicate model " + m.Name)
 	}
 	models[m.Name] = m
-}
-
-// KnownModel reports whether name is a registered scheduler model.
-func KnownModel(name string) bool {
-	_, ok := models[name]
-	return ok
 }
 
 // Models returns the registered model names, sorted.
@@ -146,7 +132,6 @@ func (s *ModelSpec) Clone() *ModelSpec {
 		}
 	}
 	c.Decisions = append([]int(nil), s.Decisions...)
-	c.Plan = append([]CrashPoint(nil), s.Plan...)
 	c.Inner = s.Inner.Clone()
 	return &c
 }
@@ -263,7 +248,7 @@ func ParseModelSpec(s string) (*ModelSpec, error) {
 // wrapper/script payload, JSON otherwise. The output round-trips
 // through ParseModelSpec.
 func (s *ModelSpec) String() string {
-	if s.Inner == nil && len(s.Decisions) == 0 && len(s.Plan) == 0 {
+	if s.Inner == nil && len(s.Decisions) == 0 {
 		var b strings.Builder
 		b.WriteString(s.Name)
 		sep := byte(':')
@@ -288,30 +273,28 @@ func (s *ModelSpec) String() string {
 	return string(data)
 }
 
-// The registrations below migrate every chooser in this package onto
-// the registry (the behavior-preservation cross-check in model_test.go
-// pins each one byte-identical to its hand-wired original) and add the
-// stochastic family (uniform, markov, noisy — see stochastic.go).
+// The registrations below are the schedule sources a user can name: the
+// stochastic family (uniform, markov, noisy — see stochastic.go), the
+// adversaries (rtc, rotate, stagger), decision replay (script) and the
+// randomcrash fault wrapper. The cross-check in model_test.go pins each
+// one byte-identical to its hand-wired construction.
 func init() {
 	RegisterModel(&Model{
 		Name: "uniform", Doc: "seeded uniform-random choice (the default schedule source of fuzz and soak runs)",
-		Stochastic: true,
 		New: func(spec *ModelSpec) (sim.Chooser, error) {
 			return NewUniform(spec.Seed), nil
 		},
 	})
 	RegisterModel(&Model{
 		Name: "markov", Doc: "Markov processor/priority walk: keep the current process w.p. stay, else hop with priority-proportional bias",
-		Stochastic: true,
-		Params:     map[string]float64{"stay": 0.75, "pribias": 1},
+		Params: map[string]float64{"stay": 0.75, "pribias": 1},
 		New: func(spec *ModelSpec) (sim.Chooser, error) {
 			return NewMarkov(spec.Seed, spec.Param("stay"), spec.Param("pribias")), nil
 		},
 	})
 	RegisterModel(&Model{
 		Name: "noisy", Doc: "Aspnes-style noisy scheduling: maximally-preempting adversarial core perturbed by a uniform random pick w.p. eps",
-		Stochastic: true,
-		Params:     map[string]float64{"eps": 0.1},
+		Params: map[string]float64{"eps": 0.1},
 		New: func(spec *ModelSpec) (sim.Chooser, error) {
 			return NewNoisy(spec.Seed, spec.Param("eps")), nil
 		},
@@ -342,83 +325,15 @@ func init() {
 		},
 	})
 	RegisterModel(&Model{
-		Name: "budgeted", Doc: "continue-current-process with directed switches at flattened (decision, choice) pairs (the budget explorer's chooser)",
-		Params: map[string]float64{"budget": 0},
-		New: func(spec *ModelSpec) (sim.Chooser, error) {
-			if len(spec.Decisions)%2 != 0 {
-				return nil, fmt.Errorf("sched: budgeted model wants flattened (decision, choice) pairs, got %d values", len(spec.Decisions))
-			}
-			// The pairs may come unsorted or repeat an index: sort them,
-			// keep the last pair for each index, and drop negative indices,
-			// which no decision reaches.
-			word := make([]Switch, 0, len(spec.Decisions)/2)
-			for i := 0; i < len(spec.Decisions); i += 2 {
-				if at := int64(spec.Decisions[i]); at >= 0 {
-					word = append(word, Switch{At: at, Choice: spec.Decisions[i+1]})
-				}
-			}
-			sort.SliceStable(word, func(i, j int) bool { return word[i].At < word[j].At })
-			last := word[:0]
-			for i, sw := range word {
-				if i+1 == len(word) || word[i+1].At != sw.At {
-					last = append(last, sw)
-				}
-			}
-			return &BudgetedSwitch{SwitchAt: last, Budget: int(spec.Param("budget"))}, nil
-		},
-	})
-	RegisterModel(&Model{
-		Name: "reduced", Doc: "sleep-set reduced prefix replay (the POR explorer's chooser; sleep sets and pruning are engine-armed)",
-		Params: map[string]float64{"sleepsets": 1},
-		New: func(spec *ModelSpec) (sim.Chooser, error) {
-			return &Reduced{Prefix: spec.Decisions, SleepSets: spec.Param("sleepsets") != 0, Budget: 1 << 30}, nil
-		},
-	})
-	RegisterModel(&Model{
-		Name: "crash", Doc: "wrapper: inject a fixed plan of crash-stop faults around the inner model",
-		Wrapper: true,
-		New: func(spec *ModelSpec) (sim.Chooser, error) {
-			inner, err := newInner(spec)
-			if err != nil {
-				return nil, err
-			}
-			return NewCrash(inner, spec.Plan...), nil
-		},
-	})
-	RegisterModel(&Model{
 		Name: "randomcrash", Doc: "wrapper: seeded random crash-stop faults (max victims, per-step prob) around the inner model",
-		Stochastic: true,
-		Wrapper:    true,
-		Params:     map[string]float64{"max": 1, "prob": 0},
+		Wrapper: true,
+		Params:  map[string]float64{"max": 1, "prob": 0},
 		New: func(spec *ModelSpec) (sim.Chooser, error) {
 			inner, err := newInner(spec)
 			if err != nil {
 				return nil, err
 			}
 			return NewRandomCrash(inner, spec.Seed, int(spec.Param("max")), spec.Param("prob")), nil
-		},
-	})
-	RegisterModel(&Model{
-		Name: "watchdog", Doc: "wrapper: cooperative stop check every checkevery decisions (Stop is armed by the caller)",
-		Wrapper: true,
-		Params:  map[string]float64{"checkevery": 0},
-		New: func(spec *ModelSpec) (sim.Chooser, error) {
-			inner, err := newInner(spec)
-			if err != nil {
-				return nil, err
-			}
-			return &Watchdog{Inner: inner, CheckEvery: int(spec.Param("checkevery"))}, nil
-		},
-	})
-	RegisterModel(&Model{
-		Name: "record", Doc: "wrapper: record the inner model's decisions and fired crashes for script-mode normalization",
-		Wrapper: true,
-		New: func(spec *ModelSpec) (sim.Chooser, error) {
-			inner, err := newInner(spec)
-			if err != nil {
-				return nil, err
-			}
-			return NewRecord(inner), nil
 		},
 	})
 }

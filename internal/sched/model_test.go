@@ -31,26 +31,14 @@ var modelMatrix = []struct {
 	{"stagger", "stagger:period=2,phase=1", func() sim.Chooser { return sched.NewStagger(2, 1) }},
 	{"script", `{"name":"script","decisions":[1,0,1,1,0,2,1,0]}`,
 		func() sim.Chooser { return &sched.Script{Decisions: []int{1, 0, 1, 1, 0, 2, 1, 0}} }},
-	{"budgeted", `{"name":"budgeted","params":{"budget":2},"decisions":[3,1,9,0]}`,
-		func() sim.Chooser {
-			return &sched.BudgetedSwitch{SwitchAt: []sched.Switch{{At: 3, Choice: 1}, {At: 9, Choice: 0}}, Budget: 2}
-		}},
-	{"reduced", `{"name":"reduced","decisions":[1,0,1]}`,
-		func() sim.Chooser { return &sched.Reduced{Prefix: []int{1, 0, 1}, SleepSets: true, Budget: 1 << 30} }},
-	{"crash", `{"name":"crash","plan":[{"Proc":1,"Step":5}],"inner":{"name":"uniform","seed":7}}`,
-		func() sim.Chooser { return sched.NewCrash(sched.NewUniform(7), sched.CrashPoint{Proc: 1, Step: 5}) }},
 	{"randomcrash", `{"name":"randomcrash","seed":11,"params":{"max":1,"prob":0.05},"inner":{"name":"uniform","seed":7}}`,
 		func() sim.Chooser { return sched.NewRandomCrash(sched.NewUniform(7), 11, 1, 0.05) }},
-	{"watchdog", `{"name":"watchdog","params":{"checkevery":16},"inner":{"name":"uniform","seed":7}}`,
-		func() sim.Chooser { return &sched.Watchdog{Inner: sched.NewUniform(7), CheckEvery: 16} }},
-	{"record", `{"name":"record","inner":{"name":"uniform","seed":7}}`,
-		func() sim.Chooser { return sched.NewRecord(sched.NewUniform(7)) }},
 }
 
 // modelWorkloads are the pinned workloads every matrix row runs under:
 // a quantum-scheduled consensus workload and the lockcounter negative
 // control (which starves under hostile schedules, exercising long
-// runs, preemption patterns, and — with the crash wrappers — fault
+// runs, preemption patterns, and — with the randomcrash wrapper — fault
 // delivery).
 var modelWorkloads = []artifact.Meta{
 	{Workload: "unicons", N: 3, V: 1, Quantum: 2, MaxSteps: 1 << 16},
@@ -117,31 +105,6 @@ func TestModelCrossCheck(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestBudgetedModelPairsActAsMap: the budgeted model reads its
-// flattened (decision, choice) pairs as a map from decision index to
-// choice, so pairs in any order, a repeated index (the last pair wins)
-// and a negative index (never reached) run exactly as the sorted switch
-// word they describe.
-func TestBudgetedModelPairsActAsMap(t *testing.T) {
-	spec, err := sched.ParseModelSpec(`{"name":"budgeted","params":{"budget":2},"decisions":[9,1,3,0,-2,1,3,1,9,0]}`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, meta := range modelWorkloads {
-		built, err := sched.NewFromSpec(spec)
-		if err != nil {
-			t.Fatalf("NewFromSpec(%s): %v", spec, err)
-		}
-		got := runRecorded(t, meta, built)
-		want := runRecorded(t, meta, &sched.BudgetedSwitch{SwitchAt: []sched.Switch{{At: 3, Choice: 1}, {At: 9, Choice: 0}}, Budget: 2})
-		gotJSON, _ := json.Marshal(got)
-		wantJSON, _ := json.Marshal(want)
-		if string(gotJSON) != string(wantJSON) {
-			t.Errorf("%s: unsorted pairs and the sorted word differ\n pairs: %s\n word:  %s", meta.Workload, gotJSON, wantJSON)
-		}
 	}
 }
 
@@ -278,14 +241,13 @@ func TestWithRunSeed(t *testing.T) {
 // TestSpecValidation pins the registry's rejection surface.
 func TestSpecValidation(t *testing.T) {
 	bad := []string{
-		"",                    // empty
-		"nosuchmodel",         // unknown name
-		"markov:warp=2",       // unknown parameter
-		"markov:stay",         // malformed key=value
-		"markov:stay=fast",    // non-numeric value
-		`{"name":"watchdog"}`, // wrapper without inner
+		"",                       // empty
+		"nosuchmodel",            // unknown name
+		"markov:warp=2",          // unknown parameter
+		"markov:stay",            // malformed key=value
+		"markov:stay=fast",       // non-numeric value
+		`{"name":"randomcrash"}`, // wrapper without inner
 		`{"name":"rtc","inner":{"name":"rotate"}}`, // inner on a non-wrapper
-		`{"name":"budgeted","decisions":[1,2,3]}`,  // odd switch-word length (caught at build)
 	}
 	for _, s := range bad {
 		spec, err := sched.ParseModelSpec(s)
@@ -301,63 +263,66 @@ func TestSpecValidation(t *testing.T) {
 		}
 	}
 	// "random" names no model; the seeded uniform chooser is "uniform".
-	for _, s := range []string{"random", `{"name":"random","seed":7}`} {
-		if _, err := sched.ParseModelSpec(s); err == nil || !strings.Contains(err.Error(), "unknown scheduler model") {
-			t.Errorf("ParseModelSpec(%q) = %v, want an unknown-model error", s, err)
+	// The engine's own choosers are not models: their owners arm them.
+	for _, name := range []string{"random", "budgeted", "reduced", "crash", "watchdog", "record"} {
+		for _, s := range []string{name, `{"name":"` + name + `","seed":7}`, `{"name":"` + name + `","inner":{"name":"uniform"}}`} {
+			if _, err := sched.ParseModelSpec(s); err == nil || !strings.Contains(err.Error(), "unknown scheduler model") {
+				t.Errorf("ParseModelSpec(%q) = %v, want an unknown-model error", s, err)
+			}
+		}
+		if _, err := sched.NewFromSpec(&sched.ModelSpec{Name: name}); err == nil || !strings.Contains(err.Error(), "unknown scheduler model") {
+			t.Errorf("NewFromSpec(%s) = %v, want an unknown-model error", name, err)
 		}
 	}
-}
-
-// readsLog reports whether a spec tree has a reduced model with sleep
-// sets on: the one chooser that reads sim.Decision.Since.
-func readsLog(spec *sched.ModelSpec) bool {
-	for node := spec; node != nil; node = node.Inner {
-		if node.Name == "reduced" && node.Param("sleepsets") != 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // TestReadsSinceForwarding pins that a run which reads the access log
-// always gets it: every matrix row, and nested wrappers around the
-// reduced model, reports through sim.ReadsSince exactly when its spec
-// tree reads the log, and reports the same wrapped in Record and in
-// Watchdog.
+// always gets it: no registered model reads it, a Reduced chooser reads
+// it exactly when its sleep sets are on, and every wrapper nesting
+// around one reports what the Reduced chooser reports, also wrapped
+// once more in Record and in Watchdog.
 func TestReadsSinceForwarding(t *testing.T) {
-	specs := make([]string, 0, len(modelMatrix)+4)
-	for _, row := range modelMatrix {
-		specs = append(specs, row.spec)
+	type row struct {
+		name string
+		ch   sim.Chooser
+		want bool
 	}
-	specs = append(specs,
-		`{"name":"reduced","params":{"sleepsets":0}}`,
-		`{"name":"record","inner":{"name":"watchdog","inner":{"name":"reduced"}}}`,
-		`{"name":"randomcrash","inner":{"name":"crash","inner":{"name":"reduced"}}}`,
-		`{"name":"record","inner":{"name":"reduced","params":{"sleepsets":0}}}`,
-	)
-	for _, s := range specs {
-		spec, err := sched.ParseModelSpec(s)
+	var rows []row
+	for _, m := range modelMatrix {
+		spec, err := sched.ParseModelSpec(m.spec)
 		if err != nil {
-			t.Fatalf("ParseModelSpec(%q): %v", s, err)
+			t.Fatalf("ParseModelSpec(%q): %v", m.spec, err)
 		}
 		ch, err := sched.NewFromSpec(spec)
 		if err != nil {
 			t.Fatalf("NewFromSpec(%s): %v", spec, err)
 		}
-		want := readsLog(spec)
-		if got := sim.ReadsSince(ch); got != want {
-			t.Errorf("%s: ReadsSince = %v, want %v", spec, got, want)
+		rows = append(rows, row{m.name, ch, false})
+	}
+	for _, sleep := range []bool{true, false} {
+		reduced := func() sim.Chooser { return &sched.Reduced{SleepSets: sleep} }
+		at := fmt.Sprintf(" with sleep sets %v", sleep)
+		rows = append(rows,
+			row{"reduced" + at, reduced(), sleep},
+			row{"record(watchdog(reduced))" + at, sched.NewRecord(&sched.Watchdog{Inner: reduced()}), sleep},
+			row{"randomcrash(crash(reduced))" + at, sched.NewRandomCrash(sched.NewCrash(reduced()), 0, 1, 0), sleep},
+			row{"record(reduced)" + at, sched.NewRecord(reduced()), sleep},
+		)
+	}
+	for _, r := range rows {
+		if got := sim.ReadsSince(r.ch); got != r.want {
+			t.Errorf("%s: ReadsSince = %v, want %v", r.name, got, r.want)
 		}
 		wrapped := []struct {
 			name string
 			ch   sim.Chooser
 		}{
-			{"record", sched.NewRecord(ch)},
-			{"watchdog", &sched.Watchdog{Inner: ch}},
+			{"record", sched.NewRecord(r.ch)},
+			{"watchdog", &sched.Watchdog{Inner: r.ch}},
 		}
 		for _, w := range wrapped {
-			if got := sim.ReadsSince(w.ch); got != want {
-				t.Errorf("%s in %s: ReadsSince = %v, want %v", spec, w.name, got, want)
+			if got := sim.ReadsSince(w.ch); got != r.want {
+				t.Errorf("%s in %s: ReadsSince = %v, want %v", r.name, w.name, got, r.want)
 			}
 		}
 	}

@@ -41,13 +41,7 @@ func (r *Record) Reset(inner sim.Chooser) {
 // CrashesArmed reports whether Inner can actually inject faults: the
 // kernel skips the per-step Crashes call entirely when it cannot, and
 // Record itself only delegates.
-func (r *Record) CrashesArmed() bool {
-	if ca, ok := r.Inner.(interface{ CrashesArmed() bool }); ok {
-		return ca.CrashesArmed()
-	}
-	_, ok := r.Inner.(sim.Crasher)
-	return ok
-}
+func (r *Record) CrashesArmed() bool { return sim.CrashesArmed(r.Inner) }
 
 // ReadsSince reports whether Inner reads Decision.Since; Record itself
 // does not.

@@ -30,8 +30,10 @@ type SleepEntry struct {
 // crash), it was executed by the sleeping process itself (a forced
 // singleton grant), it shares a processor with the sleeper under
 // quantum scheduling (grant order decides quantum protection), or its
-// footprint conflicts with the sleeper's pending statement. This is the
-// exact complement of sim.Decision.Independent.
+// footprint conflicts with the sleeper's pending statement. Wakes is
+// the code of the independence relation every sleep set rests on: the
+// access and the sleeper's pending statement are independent exactly
+// when it reports false (DESIGN.md §10).
 func (e SleepEntry) Wakes(a sim.Access, quantum int) bool {
 	if a.Global || a.Proc == e.Proc {
 		return true
@@ -137,10 +139,9 @@ type Reduced struct {
 	// Snaps records the free-region decisions (index i corresponds to
 	// decision index len(Prefix)+i).
 	Snaps []DecisionSnap
-	// Clamped / ClampCount report out-of-range prefix decisions, exactly
-	// as for Script: the replay aliases another schedule.
-	Clamped    bool
-	ClampCount int
+	// Clamped reports out-of-range prefix decisions, exactly as for
+	// Script: the replay aliases another schedule.
+	Clamped bool
 	// Pruned reports that Prune cut the run; SleepDeadlock reports that
 	// every candidate was asleep (the whole continuation is covered by
 	// earlier siblings). Either way Run returns sim.ErrPickAbort.
@@ -171,7 +172,6 @@ func (r *Reduced) Reset(prefix []int, sleep []SleepEntry) {
 	r.Fanouts = r.Fanouts[:0]
 	r.Snaps = r.Snaps[:0]
 	r.Clamped = false
-	r.ClampCount = 0
 	r.Pruned = false
 	r.SleepDeadlock = false
 	r.pos = 0
@@ -190,7 +190,6 @@ func (r *Reduced) Pick(d sim.Decision) int {
 		if i >= len(d.Candidates) {
 			i = len(d.Candidates) - 1
 			r.Clamped = true
-			r.ClampCount++
 		}
 		r.Taken = append(r.Taken, i)
 		if idx == len(r.Prefix)-1 {

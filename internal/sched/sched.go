@@ -159,10 +159,10 @@ func (*Stagger) ReadsSince() bool { return false }
 // A scripted decision that is out of range for the decision point it
 // reaches (which can only happen when the system under replay is not a
 // deterministic function of the decision sequence — e.g. a non-reentrant
-// builder) is clamped to the last candidate and flagged via Clamped and
-// ClampCount. A clamped replay aliases a schedule with an in-range
-// decision vector, so explorers skip such runs instead of counting them
-// as distinct schedules.
+// builder) is clamped to the last candidate and flagged via Clamped. A
+// clamped replay aliases a schedule with an in-range decision vector,
+// so explorers skip such runs instead of counting them as distinct
+// schedules.
 type Script struct {
 	// Decisions is the prefix of decisions to replay.
 	Decisions []int
@@ -172,9 +172,7 @@ type Script struct {
 	// Clamped reports whether any scripted decision was out of range and
 	// had to be clamped to the last candidate.
 	Clamped bool
-	// ClampCount counts clamped decisions.
-	ClampCount int
-	pos        int
+	pos     int
 }
 
 // Reset rewinds the script for a pooled rerun with a new decision
@@ -184,7 +182,6 @@ func (s *Script) Reset(decisions []int) {
 	s.Decisions = decisions
 	s.Fanouts = s.Fanouts[:0]
 	s.Clamped = false
-	s.ClampCount = 0
 	s.pos = 0
 }
 
@@ -197,7 +194,6 @@ func (s *Script) Pick(d sim.Decision) int {
 		if i >= len(d.Candidates) {
 			i = len(d.Candidates) - 1
 			s.Clamped = true
-			s.ClampCount++
 		}
 	}
 	s.pos++
@@ -231,8 +227,6 @@ type BudgetedSwitch struct {
 	// the decision point it reached and was clamped to the last
 	// candidate (see Script.Clamped: this aliases another schedule).
 	Clamped bool
-	// ClampCount counts clamped decisions.
-	ClampCount int
 	// Prune, if non-nil, is consulted at decision points strictly past
 	// the last directed switch — where the rest of the run is a pure
 	// default continuation, so a previously visited equal state provably
@@ -267,7 +261,6 @@ func (b *BudgetedSwitch) Reset(word []Switch, budget int) {
 	b.Fanouts = b.Fanouts[:0]
 	b.Taken = b.Taken[:0]
 	b.Clamped = false
-	b.ClampCount = 0
 	b.Budget = budget
 	b.Pruned = false
 }
@@ -285,7 +278,6 @@ func (b *BudgetedSwitch) Pick(d sim.Decision) int {
 		if choice >= len(d.Candidates) {
 			choice = len(d.Candidates) - 1
 			b.Clamped = true
-			b.ClampCount++
 		}
 	default:
 		// Every switch sits at a decision already made once the cursor

@@ -72,15 +72,5 @@ func (w *Watchdog) Crashes(d sim.Decision) []*sim.Process {
 	return nil
 }
 
-// CrashesArmed reports whether the inner chooser can inject faults (see
-// sim.Config.Chooser's crash-arming protocol).
-func (w *Watchdog) CrashesArmed() bool {
-	cr, ok := w.Inner.(sim.Crasher)
-	if !ok {
-		return false
-	}
-	if ca, ok := cr.(interface{ CrashesArmed() bool }); ok {
-		return ca.CrashesArmed()
-	}
-	return true
-}
+// CrashesArmed reports whether the inner chooser can inject faults.
+func (w *Watchdog) CrashesArmed() bool { return sim.CrashesArmed(w.Inner) }

@@ -211,18 +211,6 @@ type job struct {
 	status Status
 }
 
-// setState transitions the job's state under its lock and returns the
-// updated snapshot.
-func (j *job) setState(state, detail string) Status {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.status.State = state
-	if detail != "" {
-		j.status.Detail = detail
-	}
-	return j.status
-}
-
 // snapshot returns the job's current status.
 func (j *job) snapshot() Status {
 	j.mu.Lock()
@@ -847,21 +835,10 @@ func (s *Service) runSoak(j *job, workers int) {
 		j.status.TimedOut = info.TimedOut
 		j.mu.Unlock()
 	}
-	stop := make(chan struct{})
-	stopped := make(chan struct{})
-	//repro:allow service relays cancel/shutdown into the campaign's graceful-stop channel; stop timing never changes run outcomes
-	go func() {
-		select {
-		case <-j.cancelled:
-			close(stop)
-		case <-s.shutdown:
-			close(stop)
-		case <-stopped:
-		}
-	}()
-	cfg.Stop = stop
+	ctx, stop := s.watchCancel(j)
+	cfg.Stop = ctx.Done()
 	res, err := campaign.Run(cfg)
-	close(stopped)
+	stop()
 	if err != nil {
 		s.finish(j, StateError, "campaign", err)
 		return

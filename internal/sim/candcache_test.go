@@ -69,31 +69,28 @@ func (h crashHook) Crashes(d sim.Decision) []*sim.Process {
 	return nil
 }
 
-// lockstepChoosers are the scheduler models the lockstep test runs at
-// each seed: stochastic, stochastic with crashes, a switch word and a
+// lockstepChoosers are the choosers the lockstep test runs at each
+// seed: stochastic, stochastic with crashes, a switch word and a
 // decision script.
 var lockstepChoosers = []struct {
-	name string
-	spec func(seed int64) *sched.ModelSpec
+	name    string
+	chooser func(seed int64) sim.Chooser
 }{
-	{"uniform", func(seed int64) *sched.ModelSpec {
-		return &sched.ModelSpec{Name: "uniform", Seed: seed}
+	{"uniform", func(seed int64) sim.Chooser { return sched.NewUniform(seed) }},
+	{"randomcrash", func(seed int64) sim.Chooser {
+		return sched.NewRandomCrash(sched.NewUniform(seed), seed, 2, 0.05)
 	}},
-	{"randomcrash", func(seed int64) *sched.ModelSpec {
-		return &sched.ModelSpec{Name: "randomcrash", Seed: seed, Params: map[string]float64{"max": 2, "prob": 0.05},
-			Inner: &sched.ModelSpec{Name: "uniform", Seed: seed}}
+	{"budgeted", func(seed int64) sim.Chooser {
+		return &sched.BudgetedSwitch{Budget: 3, SwitchAt: []sched.Switch{
+			{At: seed % 4, Choice: 1}, {At: 4 + seed%5, Choice: 0}, {At: 10 + seed, Choice: 2}}}
 	}},
-	{"budgeted", func(seed int64) *sched.ModelSpec {
-		return &sched.ModelSpec{Name: "budgeted", Params: map[string]float64{"budget": 3},
-			Decisions: []int{int(seed % 4), 1, 4 + int(seed%5), 0, 10 + int(seed), 2}}
-	}},
-	{"script", func(seed int64) *sched.ModelSpec {
+	{"script", func(seed int64) sim.Chooser {
 		rng := rand.New(rand.NewPCG(uint64(seed), 1))
 		dec := make([]int, 40)
 		for i := range dec {
 			dec[i] = rng.IntN(3)
 		}
-		return &sched.ModelSpec{Name: "script", Decisions: dec}
+		return &sched.Script{Decisions: dec}
 	}},
 }
 
@@ -117,16 +114,6 @@ var lockstepHooks = []struct {
 }{
 	{"crash-hook", func(c *candidateCheck) sim.Chooser { return crashHook{c} }},
 	{"pick-hook", func(c *candidateCheck) sim.Chooser { return pickHook{c} }},
-}
-
-// newLockstepChooser builds the row's model for seed.
-func newLockstepChooser(t *testing.T, spec *sched.ModelSpec) sim.Chooser {
-	t.Helper()
-	ch, err := sched.NewFromSpec(spec)
-	if err != nil {
-		t.Fatalf("NewFromSpec(%s): %v", spec, err)
-	}
-	return ch
 }
 
 // TestCandidateCacheLockstep pins the candidate cache: the list the
@@ -160,7 +147,7 @@ func TestCandidateCacheLockstep(t *testing.T) {
 						if i > 0 {
 							sys.Reset()
 						}
-						c.inner = newLockstepChooser(t, cs.spec(seed))
+						c.inner = cs.chooser(seed)
 						_ = sys.Run() // step limits and verdicts are not under test
 					}
 					c.requireCoverage(t, hook.name)
@@ -182,7 +169,7 @@ func TestCandidateCacheLockstep(t *testing.T) {
 				t.Run(label, func(t *testing.T) {
 					c := &candidateCheck{t: t, label: label}
 					for _, seed := range lockstepSeeds {
-						c.inner = newLockstepChooser(t, cs.spec(seed))
+						c.inner = cs.chooser(seed)
 						sys := b.build(hook.wrap(c))
 						_ = sys.Run()
 						sys.Close()

@@ -38,9 +38,9 @@ func (s *System) Run() error {
 		s.consume(p, kind, mem.Footprint{})
 	}
 
-	s.crasher, _ = s.cfg.Chooser.(Crasher)
-	if armed, ok := s.cfg.Chooser.(crashArmed); ok && !armed.CrashesArmed() {
-		s.crasher = nil
+	s.crasher = nil
+	if CrashesArmed(s.cfg.Chooser) {
+		s.crasher = s.cfg.Chooser.(Crasher)
 	}
 	next, err := s.decide()
 	for next != nil {

@@ -112,36 +112,6 @@ type Decision struct {
 	Since []Access
 }
 
-// Independent reports whether candidates i and j's next statements
-// commute: executing them in either order reaches the same system
-// state, so a partial-order-reducing explorer need not branch on their
-// relative order. The relation is deliberately conservative:
-//
-//   - both candidates must be parked mid-invocation with known next
-//     footprints (arrivals never commute: they change scheduler state
-//     and their first access is unknown until granted);
-//   - the footprints must commute (distinct objects, or two reads of
-//     the same object; consensus invocations of the same object never
-//     commute — the first invocation decides);
-//   - the candidates must run on different processors, or the quantum
-//     must be 0: with Q > 0, ordering two same-processor grants decides
-//     who preempts whom and therefore who holds quantum protection.
-//
-// Diagnostic counters (Process.Preemptions) are outside the relation:
-// no explorer verdict observes them.
-func (d Decision) Independent(i, j int) bool {
-	p, q := d.Candidates[i], d.Candidates[j]
-	pf, pok := p.NextFootprint()
-	qf, qok := q.NextFootprint()
-	if !pok || !qok {
-		return false
-	}
-	if p.Processor() == q.Processor() && d.Sys.Quantum() > 0 {
-		return false
-	}
-	return pf.Commutes(qf)
-}
-
 // PickAbort is the sentinel a Chooser may return from Pick to terminate
 // the run at this decision point: the kernel unwinds every process and
 // Run returns ErrPickAbort. Reduction-aware explorers use it to cut off
@@ -187,9 +157,11 @@ func ReadsSince(ch Chooser) bool {
 // are already done or crashed are ignored; victims from a different
 // System are a programming error (panic).
 //
-// A chooser wrapper that implements Crasher only by delegation may
-// additionally implement CrashesArmed() bool; when it reports false the
-// kernel skips the per-step Crashes call for the whole run.
+// A Crasher may additionally implement CrashesArmed() bool, which the
+// kernel asks once per Run: when it reports false the kernel skips the
+// per-step Crashes call for the whole run. Wrappers that implement
+// Crasher only by delegation report what their inner chooser reports
+// (see the CrashesArmed function).
 type Crasher interface {
 	Chooser
 	// Crashes returns the processes to crash before this scheduling
@@ -198,13 +170,20 @@ type Crasher interface {
 	Crashes(d Decision) []*Process
 }
 
-// crashArmed is the optional Crasher refinement consulted once per Run:
-// wrappers whose inner chooser decides crash capability implement it so
-// a run that cannot crash anything skips the per-step Crashes call. An
-// armed injector costs no coroutine switch by itself: the step it is
+// CrashesArmed reports whether a run polls ch for crashes: false for a
+// chooser that is not a Crasher, otherwise the value of its
+// CrashesArmed method, or true for a Crasher without one. Chooser
+// wrappers implement the method by forwarding through this function.
+// An armed injector costs no coroutine switch by itself: the step it is
 // polled at goes back to Run only when it names victims.
-type crashArmed interface {
-	CrashesArmed() bool
+func CrashesArmed(ch Chooser) bool {
+	if _, ok := ch.(Crasher); !ok {
+		return false
+	}
+	if a, ok := ch.(interface{ CrashesArmed() bool }); ok {
+		return a.CrashesArmed()
+	}
+	return true
 }
 
 // ChooserFunc adapts a function to the Chooser interface.
